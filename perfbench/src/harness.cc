@@ -95,17 +95,19 @@ void finish_lockstep(const SimulationResult& res, const SlotLedger& ledger,
 
 InstanceRun lockstep_untraced(const Scenario& s) {
   InstanceRun out;
-  const double t0 = steady_seconds();
+  const double t0 = cpu_seconds();
   const ScenarioRunner runner(s);
-  SlotLedger ledger(/*detailed=*/false);
+  SlotLedger ledger(/*detailed=*/false, cpu_seconds);
   const PolicyProbe policy(runner.policy(), ledger);
   const auto drive = [&](const ExtendedConflictGraph& ecg,
                          DynamicNetwork* dyn) {
     Simulator sim(ecg, runner.model(), policy, runner.simulation_config(),
                   dyn);
+    const double w0 = steady_seconds();
     ledger.begin_run();
     const SimulationResult res = sim.run();
     ledger.end_run();
+    out.loop_wall_s = steady_seconds() - w0;
     finish_lockstep(res, ledger, ecg, t0, out);
   };
   if (mhca::scenario::is_dynamic(s)) {
@@ -140,6 +142,7 @@ InstanceRun lockstep_traced(const Scenario& s, TraceFold* fold) {
       res = sim.run();
       ledger.end_run();
     }
+    out.loop_wall_s = ledger.lead_in() + ledger.loop_seconds();
     finish_lockstep(res, ledger, ecg, t0, out);
   };
   if (mhca::scenario::is_dynamic(s)) {
@@ -182,7 +185,7 @@ InstanceRun lockstep_traced(const Scenario& s, TraceFold* fold) {
 }
 
 // The round loop of ScenarioRunner::run_net() for a static scenario, with
-// one clock read on each side of step().
+// one ledger-clock read on each side of step().
 void drive_net(mhca::net::DistributedRuntime& rt,
                const ExtendedConflictGraph& ecg, const Scenario& s,
                SlotLedger& ledger, InstanceRun& out) {
@@ -190,11 +193,12 @@ void drive_net(mhca::net::DistributedRuntime& rt,
   out.fp.decision_digest = 0xDEC15105;
   double total_observed = 0.0;
   double first = 0.0, last = 0.0;
+  const double w0 = steady_seconds();
   for (std::int64_t round = 1; round <= s.run.slots; ++round) {
     ledger.on_round(round);
     const double a = ledger.marks().back().start;
     mhca::net::NetRoundResult res = rt.step();
-    last = steady_seconds();
+    last = ledger.now();
     if (round == 1) first = a;
     out.slot_s.push_back(last - a);
     total_observed += res.observed_sum;
@@ -207,6 +211,7 @@ void drive_net(mhca::net::DistributedRuntime& rt,
     out.fp.last_strategy = std::move(res.strategy);
   }
   ledger.end_run();
+  out.loop_wall_s = steady_seconds() - w0;
   out.loop_s = last - first;
   out.slots = s.run.slots;
   out.vertices = ecg.num_vertices();
@@ -238,13 +243,13 @@ void require_static(const Scenario& s) {
 InstanceRun net_untraced(const Scenario& s) {
   require_static(s);
   InstanceRun out;
-  const double t0 = steady_seconds();
+  const double t0 = cpu_seconds();
   const ScenarioRunner runner(s);
   mhca::net::DistributedRuntime rt(
       runner.extended_graph(), runner.model(),
       mhca::scenario::to_net_config(s, runner.network().num_nodes()));
-  out.setup_s = steady_seconds() - t0;
-  SlotLedger ledger(/*detailed=*/false);
+  out.setup_s = cpu_seconds() - t0;
+  SlotLedger ledger(/*detailed=*/false, cpu_seconds);
   drive_net(rt, runner.extended_graph(), s, ledger, out);
   return out;
 }

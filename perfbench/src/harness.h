@@ -32,9 +32,14 @@ struct InstanceRun {
   std::int64_t vertices = 0;  ///< |H|
   int conflicts = 0;          ///< rounds whose strategy conflicted
   bool final_independent = true;  ///< last_strategy on the final graph
+  /// Untraced runs read the process CPU clock (cpu_seconds) for these
+  /// three, traced runs the steady clock.
   double setup_s = 0.0;           ///< scenario in hand .. slot 1
   std::vector<double> slot_s;     ///< one entry per slot / round
   double loop_s = 0.0;            ///< slot 1 start .. last slot end
+  /// Steady-clock time of the loop call: Simulator::run() (cache build
+  /// included) or the rounds of step(). Both kinds of run.
+  double loop_wall_s = 0.0;
   /// Control messages / bytes sent during the slots (net: per type, setup
   /// discovery excluded; lockstep: the engine's counted protocol messages).
   std::int64_t messages = 0;
@@ -51,7 +56,7 @@ struct InstanceRun {
   std::map<std::string, double> layer;
 };
 
-/// Untraced: one clock read per slot (lockstep: the policy's per-round
+/// Untraced: one CPU-clock read per slot (lockstep: the policy's per-round
 /// hook; net: around step()). Traced: every probe records, the component
 /// build is split into its parts, and the program's spans are folded into
 /// `fold` (required then).

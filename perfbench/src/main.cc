@@ -4,12 +4,14 @@
 //             [--commit SHA] [--source-digest HEX]
 //
 // Generates the workload's scenarios from the seed, runs whole passes over
-// them through the program's own slot loop for about S seconds (at least
-// one pass), checks every run against a plain ScenarioRunner run of the
-// same scenario, and prints a table followed by one JSON line: the
-// end-to-end metrics (--trace 0) or the per-layer metrics (--trace 1).
+// them through the program's own slot loop (as many as take about S seconds
+// on the reference machine, at least one), checks every run against a plain
+// ScenarioRunner run of the same scenario, and prints a table followed by
+// one JSON line: the end-to-end metrics (--trace 0) or the per-layer
+// metrics (--trace 1).
 // Exits 1 on a failed output check or coverage gate, 2 on bad arguments.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -27,6 +29,7 @@
 #include "obs/json.h"
 #include "obs/publish.h"
 #include "probes.h"
+#include "speed.h"
 #include "stats.h"
 #include "workloads.h"
 
@@ -108,21 +111,20 @@ struct Loop {
 };
 
 // Runs whole passes over the instances, so every run weighs every instance
-// equally: one pass, then more while another pass of the mean length still
-// fits in `budget` seconds. With a traced loop, each instance runs untraced
-// and then traced back to back, so slow drift of the machine affects both
-// sides of the overhead ratio alike.
+// equally: floor(seconds / w.pass_seconds) of them, at least one. With a
+// traced loop, each instance runs untraced and then traced back to back, so
+// slow drift of the machine affects both sides of the overhead ratio alike.
+// The reference work is timed before the first run and after each one, into
+// `speed_s`.
 void run_passes(const perfbench::Workload& w,
                 const std::vector<mhca::scenario::Scenario>& inst,
-                double budget, Loop& untraced, Loop* traced,
-                TraceFold* fold) {
-  const double start = perfbench::steady_seconds();
-  for (std::size_t i = 0;; ++i) {
-    if (i > 0 && i % inst.size() == 0) {
-      const double passes = static_cast<double>(i / inst.size());
-      const double elapsed = perfbench::steady_seconds() - start;
-      if (elapsed + elapsed / passes > budget) break;
-    }
+                double seconds, Loop& untraced, Loop* traced,
+                TraceFold* fold, std::vector<double>& speed_s) {
+  const std::size_t passes = static_cast<std::size_t>(
+      std::max(1.0, std::floor(seconds / w.pass_seconds)));
+  perfbench::SpeedProbe speed;
+  speed_s.push_back(speed.time_pass());
+  for (std::size_t i = 0; i < passes * inst.size(); ++i) {
     const int instance = static_cast<int>(i % inst.size());
     const mhca::scenario::Scenario& s =
         inst[static_cast<std::size_t>(instance)];
@@ -139,10 +141,11 @@ void run_passes(const perfbench::Workload& w,
         loop->errors.push_back(s.name + " instance " +
                                std::to_string(instance) + ": " + e.what());
       }
-      loop->runs.push_back(std::move(run));
       // Hand freed heap back so peak RSS tracks the largest instance rather
       // than how earlier instances fragmented the heap.
       malloc_trim(0);
+      loop->runs.push_back(std::move(run));
+      speed_s.push_back(speed.time_pass());
     }
   }
 }
@@ -209,13 +212,6 @@ struct Metric {
   std::string note;  // printed in the table only
 };
 
-std::vector<double> all_slots(const Loop& loop) {
-  std::vector<double> v;
-  for (const Run& run : loop.runs)
-    v.insert(v.end(), run.r.slot_s.begin(), run.r.slot_s.end());
-  return v;
-}
-
 // The first pass (one run per instance, in order): the deterministic
 // figures are taken from it so they depend on the seed alone.
 std::vector<const InstanceRun*> first_pass(const Loop& loop, int instances) {
@@ -232,16 +228,17 @@ double vertex_rounds(const std::vector<const InstanceRun*>& pass) {
   return vr;
 }
 
+// Timings are CPU time times `scale`, the run's speed scale (speed.h).
 std::vector<Metric> end_to_end(const perfbench::Workload& w, const Loop& loop,
-                               const Tally& t) {
-  std::vector<double> setups;
+                               const Tally& t, double scale) {
+  std::vector<double> setups, slot_s;
   double slots = 0.0, loop_s = 0.0;
   for (const Run& run : loop.runs) {
-    setups.push_back(run.r.setup_s);
+    setups.push_back(run.r.setup_s * scale);
+    for (double slot : run.r.slot_s) slot_s.push_back(slot * scale);
     slots += static_cast<double>(run.r.slot_s.size());
-    loop_s += run.r.loop_s;
+    loop_s += run.r.loop_s * scale;
   }
-  const std::vector<double> slot_s = all_slots(loop);
   const auto tail = perfbench::tail_percentile(slot_s);
   const auto pass = first_pass(loop, w.instances);
   double observed = 0.0, pass_slots = 0.0, msgs = 0.0, bytes = 0.0;
@@ -254,15 +251,16 @@ std::vector<Metric> end_to_end(const perfbench::Workload& w, const Loop& loop,
   const double vr = vertex_rounds(pass);
   std::vector<Metric> m = {
       {"setup_s", perfbench::median(setups), "s",
-       "median of " + std::to_string(setups.size()) + " set-ups"},
-      {"slot_ms_p50", perfbench::median(slot_s) * 1e3, "ms",
+       "CPU at the reference speed, median of " +
+           std::to_string(setups.size()) + " set-ups"},
+      {"slot_cpu_ms_p50", perfbench::median(slot_s) * 1e3, "ms",
        std::to_string(slot_s.size()) + " slots"},
-      {"slot_ms_tail", tail ? tail->value * 1e3 : 0.0, "ms",
+      {"slot_cpu_ms_tail", tail ? tail->value * 1e3 : 0.0, "ms",
        tail ? "p" + std::to_string(tail->percentile) + " of " +
                   std::to_string(tail->samples) + " slots, " +
                   std::to_string(tail->beyond) + " beyond"
             : "fewer than 11 slots"},
-      {"slots_per_s", loop_s > 0 ? slots / loop_s : 0.0, "1/s", ""},
+      {"slots_per_cpu_s", loop_s > 0 ? slots / loop_s : 0.0, "1/s", ""},
       {"peak_rss_mb", peak_rss_mb(), "MB", "VmHWM"},
       {"throughput_per_slot", pass_slots > 0 ? observed / pass_slots : 0.0,
        "reward/slot", "first pass"},
@@ -422,10 +420,12 @@ std::vector<Metric> per_layer(const perfbench::Workload& w, const Loop& traced,
   add("obs.layer_coverage",
       ratio(setup_named + slot_named, L["setup.wall"] + L["slot.wall"]),
       "ratio");
-  add("obs.trace_overhead_ratio",
-      ratio(perfbench::median(all_slots(traced)),
-            perfbench::median(all_slots(untraced))),
-      "ratio");
+  // Wall over wall: the traced runs read the steady clock, and each one
+  // follows its untraced twin, so slow drift of the machine hits both.
+  double traced_wall = 0.0, untraced_wall = 0.0;
+  for (const Run& run : traced.runs) traced_wall += run.r.loop_wall_s;
+  for (const Run& run : untraced.runs) untraced_wall += run.r.loop_wall_s;
+  add("obs.trace_overhead_ratio", ratio(traced_wall, untraced_wall), "ratio");
   return m;
 }
 
@@ -469,8 +469,10 @@ int main(int argc, char** argv) {
   // are the overhead baseline.
   Loop untraced, traced;
   TraceFold fold;
+  std::vector<double> speed_s;
   run_passes(*w, inst, args.seconds, untraced, args.trace ? &traced : nullptr,
-             &fold);
+             &fold, speed_s);
+  const double scale = perfbench::SpeedProbe::scale(speed_s);
 
   std::vector<std::string> errors = untraced.errors;
   errors.insert(errors.end(), traced.errors.begin(), traced.errors.end());
@@ -484,15 +486,22 @@ int main(int argc, char** argv) {
               w->name.c_str(), static_cast<unsigned long long>(args.seed),
               args.seconds, args.trace ? 1 : 0, w->instances,
               untraced.runs.size() + traced.runs.size());
+  std::printf("  speed scale %.4f: reference work took %.2f ms of CPU "
+              "(median of %zu passes), %.2f ms at the reference speed\n",
+              scale, perfbench::median(speed_s) * 1e3, speed_s.size(),
+              perfbench::SpeedProbe::kNominalSeconds * 1e3);
   for (const Loop* loop : loops)
     for (const Run& run : loop->runs)
-      std::printf("  run %s instance %d: setup %.4f s, slot p50 %.3f ms over "
-                  "%zu slots%s\n",
+      std::printf("  run %s instance %d: setup %.4f %s, slot p50 %.3f %s over "
+                  "%zu slots, loop wall %.3f s%s\n",
                   loop == &untraced ? "untraced" : "traced", run.instance,
-                  run.r.setup_s, perfbench::median(run.r.slot_s) * 1e3,
-                  run.r.slot_s.size(), run.ok ? "" : ", FAILED");
-  const std::vector<Metric> e2e = end_to_end(*w, untraced, t);
-  print_table("end to end (untraced runs):", e2e);
+                  run.r.setup_s, loop == &untraced ? "cpu-s" : "s",
+                  perfbench::median(run.r.slot_s) * 1e3,
+                  loop == &untraced ? "cpu-ms" : "ms", run.r.slot_s.size(),
+                  run.r.loop_wall_s, run.ok ? "" : ", FAILED");
+  const std::vector<Metric> e2e = end_to_end(*w, untraced, t, scale);
+  print_table("end to end (untraced runs; CPU time at the reference speed):",
+              e2e);
   std::vector<Metric> layers;
   if (args.trace) {
     layers = per_layer(*w, traced, untraced, fold);

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <ctime>
 
 #include "util/hash.h"
 
@@ -11,6 +12,12 @@ double steady_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+double cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
 SlotLedger::SlotLedger(bool detailed, Clock clock)

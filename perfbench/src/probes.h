@@ -36,6 +36,13 @@ namespace perfbench {
 /// Seconds on the steady clock.
 double steady_seconds();
 
+/// CPU seconds this process has used, all threads together
+/// (CLOCK_PROCESS_CPUTIME_ID). Time the process spends descheduled, by the
+/// guest's scheduler or stolen by the host, does not count, so on a shared
+/// host it measures the program's work where the steady clock also measures
+/// its neighbours.
+double cpu_seconds();
+
 /// One slot's marks, in seconds on the ledger's clock (NaN = not seen).
 struct SlotMarks {
   static constexpr double kUnset = std::numeric_limits<double>::quiet_NaN();

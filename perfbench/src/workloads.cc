@@ -26,21 +26,23 @@ const std::vector<Workload>& workloads() {
   static const std::vector<Workload> kAll = {
       // |H| = 50,000, static: the decision path and the cache build
       // dominate; dynamics and net do no work.
-      {"static-50k", Engine::kLockstep, 4,
+      {"static-50k", Engine::kLockstep, 4, 6.5,
        base("static-50k", 12500, 20) + "count_messages = true\n"},
       // |H| = 10,000 under churn, past the 8,192-vertex bitset limit:
       // incremental maintenance writes the graph and cache every slot.
-      {"churn-10k", Engine::kLockstep, 4,
+      {"churn-10k", Engine::kLockstep, 6, 9.8,
        base("churn-10k", 2500, 20) +
            "count_messages = true\n"
            "[dynamics]\nkind = churn\nleave_prob = 0.01\njoin_prob = 0.2\n"
            "incremental = true\n"},
       // 1,600 agents on a clean wire with omniscient membership: the
       // protocol phases and the control channel; hellos only in setup.
-      {"net-1600", Engine::kNet, 8, base("net-1600", 400, 8)},
+      {"net-1600", Engine::kNet, 16, 14.0, base("net-1600", 400, 8)},
       // 400 agents under view-synchronous membership with duplicate
-      // deliveries: keep-alive hellos every round dominate the wire.
-      {"net-viewsync-400", Engine::kNet, 15,
+      // deliveries: keep-alive hellos every round dominate the wire. Left
+      // out of BENCHMARK.json: at 100 users its figures move too much with
+      // the seed's topology (README.md, Workloads).
+      {"net-viewsync-400", Engine::kNet, 15, 5.0,
        base("net-viewsync-400", 100, 14) +
            "[net]\nmembership = view_sync\ndup_prob = 0.02\n"
            "drop_seed = @SEED@\n"},

@@ -23,6 +23,11 @@ struct Workload {
   /// sizes; averaging over a pass of independent instances keeps one run's
   /// figures steady across seeds.
   int instances = 1;
+  /// Seconds one untraced pass takes on the reference machine (a 4-thread
+  /// Xeon VM). A run makes floor(--seconds / pass_seconds) passes,
+  /// at least one, so its work is fixed by --seconds and does not shrink
+  /// or grow with the speed of the machine or of the code under test.
+  double pass_seconds = 1.0;
   /// Scenario text; "@SEED@" is replaced by each instance's seed.
   std::string scenario;
 };

@@ -1,16 +1,20 @@
 // Tests of the benchmark's own helpers: the Chrome-trace fold, the tail
-// percentile rule, and the probes' slot-boundary bookkeeping on a scripted
-// clock.
+// percentile rule, the probes' slot-boundary bookkeeping on a scripted
+// clock, and the process CPU clock the untraced runs read.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bandit/policy.h"
 #include "fold.h"
 #include "probes.h"
+#include "speed.h"
 #include "stats.h"
 #include "util/hash.h"
 #include "util/rng.h"
@@ -324,6 +328,34 @@ TEST(Probes, ForwardToTheWrappedComponents) {
   EXPECT_EQ(model.num_nodes(), 2);
   EXPECT_EQ(model.num_channels(), 2);
   EXPECT_DOUBLE_EQ(model.rate_scale_kbps(), inner_model.rate_scale_kbps());
+}
+
+TEST(Probes, CpuClockCountsWorkButNotSleep) {
+  const double c0 = cpu_seconds();
+  const double w0 = steady_seconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const double slept_cpu = cpu_seconds() - c0;
+  EXPECT_GE(steady_seconds() - w0, 0.2);
+  EXPECT_LT(slept_cpu, 0.05);
+
+  // 100 ms of spinning; a busy host may take some of it, not most.
+  const double c1 = cpu_seconds();
+  const double w1 = steady_seconds();
+  volatile std::uint64_t x = 1;
+  while (steady_seconds() - w1 < 0.1) x = x * 6364136223846793005ULL + 1;
+  EXPECT_GT(cpu_seconds() - c1, 0.02);
+}
+
+TEST(SpeedProbe, ScaleIsNominalOverMedianPass) {
+  const double nominal = SpeedProbe::kNominalSeconds;
+  EXPECT_DOUBLE_EQ(SpeedProbe::scale({nominal * 3, nominal * 2, nominal}),
+                   0.5);
+  EXPECT_DOUBLE_EQ(SpeedProbe::scale({nominal}), 1.0);
+  EXPECT_DOUBLE_EQ(SpeedProbe::scale({}), 1.0);
+  SpeedProbe probe;
+  const double pass = probe.time_pass();
+  EXPECT_GT(pass, 0.0);
+  EXPECT_GT(SpeedProbe::scale({pass}), 0.0);
 }
 
 }  // namespace
