@@ -5,7 +5,7 @@
 // decision path (NeighborhoodCache + reusable SolveScratch + bitset-row
 // adjacency gather).
 //
-// Both paths run the same local-solve algorithm (the enhanced
+// Both paths run the same local-solve algorithm (the one
 // branch-and-bound search) with the same per-solve effort cap, so their
 // decisions are byte-identical *unconditionally* — node-cap aborts and
 // weight ties included; the bench verifies that on every measured decision.
@@ -31,6 +31,7 @@
 // decision path is tracked from PR 1 on.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -84,7 +85,14 @@ struct Cell {
   bool obs_measured = false;
   double obs_off_ms = 0.0;
   double obs_on_ms = 0.0;
-  bool obs_overhead_ok = true;  ///< Disabled path within 2% of the headline.
+  // Per-pair off / baseline ratios: their median and a distribution-free
+  // 95% interval for it, and the ratio the interval must not lie above.
+  int obs_pairs = 0;
+  double obs_ratio_median = 1.0;
+  double obs_ratio_lo = 1.0;
+  double obs_ratio_hi = 1.0;
+  double obs_ratio_limit = 1.0;
+  bool obs_overhead_ok = true;  ///< Disabled path not shown > 2% slower.
   // Memory accounting for the cached path's NeighborhoodCache: the bytes it
   // actually keeps resident, what the same contents would cost in the
   // all-explicit (pre-tiered) layout, and the resulting reduction ratio.
@@ -167,6 +175,35 @@ std::pair<double, double> time_paths_ms(A&& seed_decide, B&& cached_decide,
     if (rep == 0 || c < cached_best) cached_best = c;
   }
   return {seed_best, cached_best};
+}
+
+/// Median of `xs` and a distribution-free confidence interval for it (sorts
+/// `xs`): the order statistics x_(k) and x_(n+1-k), with k the largest rank
+/// whose binomial tail P(Bin(n, 1/2) < k) stays within (1 - level) / 2. No
+/// assumption on the noise distribution — scheduler hiccups are one-sided
+/// and heavy-tailed, so a t-interval would not hold.
+struct MedianInterval {
+  double median = 0.0;
+  double lo = 0.0;
+  double hi = 0.0;
+};
+
+MedianInterval median_interval(std::vector<double>& xs, double level) {
+  std::sort(xs.begin(), xs.end());
+  const std::size_t n = xs.size();
+  const double tail = (1.0 - level) / 2.0;
+  double p = std::ldexp(1.0, -static_cast<int>(n));  // P(Bin = 0)
+  double cdf = 0.0;
+  std::size_t k = 0;  // P(Bin < k) <= tail
+  while (k < n / 2 && cdf + p <= tail) {
+    cdf += p;
+    ++k;
+    p *= static_cast<double>(n - k + 1) / static_cast<double>(k);
+  }
+  if (k == 0) k = 1;  // too few samples for the level: report the range
+  const double median =
+      n % 2 == 1 ? xs[n / 2] : 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
+  return {median, xs[k - 1], xs[n - k]};
 }
 
 DecisionStageTimes per_decision(const DecisionStageTimes& total,
@@ -337,13 +374,17 @@ Cell run_cell(int users, int r, int channels, int decisions) {
   // Observability overhead on the gated cells (|H| = 3200 and 50000, the
   // paper-scale points). The instrumentation is compiled into run()
   // unconditionally — there is no obs-free build in this binary — so the
-  // gate re-measures the headline path (globals null) back-to-back with the
-  // "off" pass and requires the two to agree within 2%: a tripwire for
-  // instrumentation that is accidentally active, or does work, when
-  // disabled. The "off vs headline" column compares against the main stage
-  // loop's cached_ms for the longitudinal record only — minutes of
-  // frequency drift separate those passes, which the interleaved baseline
-  // exists to cancel (observed up to ~10% on shared hosts). "obs on"
+  // gate re-measures the headline path (globals null) in interleaved pairs
+  // with the "off" pass, both run after the spine was switched on and off
+  // again: a tripwire for instrumentation that stays active, or does work,
+  // once disabled. One pass of a cell moves by ~25% between identical runs on a
+  // shared host, so no single pair — nor a min-of-reps — can resolve 2%.
+  // Each pair yields one off/baseline ratio; the gate fails only when the
+  // 95% interval of the median ratio lies wholly above 1.02 (plus the
+  // 0.05 ms slack, as a ratio of the baseline). tests/obs_test.cc pins the
+  // deterministic half of the contract: no event or registry write at all
+  // while disabled. The "off vs headline" column compares against the main
+  // stage loop's cached_ms for the longitudinal record only. "obs on"
   // records the full span set and is reported, not gated: tracing a
   // decision costs what it costs.
   if ((users == 800 && r == 2) || users == 12500) {
@@ -363,11 +404,12 @@ Cell run_cell(int users, int r, int channels, int decisions) {
     obs::set_trace(nullptr);
     obs::set_metrics(nullptr);
     recorder.clear();
-    double baseline_ms = 0.0;
-    for (int rep = 0; rep < 4; ++rep) {
+    constexpr int kObsPairs = 25;
+    std::vector<double> ratios, bases;
+    for (int rep = 0; rep < kObsPairs; ++rep) {
       // Alternate which pass runs first: base and off are the same code, so
-      // pinning either to a rep's first (fastest-clock) slot would bias the
-      // comparison even after warmup.
+      // pinning either to a pair's first (fastest-clock) slot would bias
+      // the comparison even after warmup.
       const double first = time_decisions_ms(cached_run, decisions);
       const double second = time_decisions_ms(cached_run, decisions);
       const double base = (rep % 2 == 0) ? first : second;
@@ -378,14 +420,21 @@ Cell run_cell(int users, int r, int channels, int decisions) {
       obs::set_trace(nullptr);
       obs::set_metrics(nullptr);
       recorder.clear();
-      if (rep == 0 || base < baseline_ms) baseline_ms = base;
+      ratios.push_back(off / base);
+      bases.push_back(base);
       if (rep == 0 || off < cell.obs_off_ms) cell.obs_off_ms = off;
       if (rep == 0 || on < cell.obs_on_ms) cell.obs_on_ms = on;
     }
     constexpr double kObsOverheadRatio = 1.02;
     constexpr double kObsSlackMs = 0.05;
-    cell.obs_overhead_ok =
-        cell.obs_off_ms <= baseline_ms * kObsOverheadRatio + kObsSlackMs;
+    const MedianInterval ratio = median_interval(ratios, 0.95);
+    const double base_median = median_interval(bases, 0.95).median;
+    cell.obs_pairs = kObsPairs;
+    cell.obs_ratio_median = ratio.median;
+    cell.obs_ratio_lo = ratio.lo;
+    cell.obs_ratio_hi = ratio.hi;
+    cell.obs_ratio_limit = kObsOverheadRatio + kObsSlackMs / base_median;
+    cell.obs_overhead_ok = ratio.lo <= cell.obs_ratio_limit;
   }
 
   // Cache-build worker sweep on the cells where the build matters: pinned
@@ -400,7 +449,7 @@ Cell run_cell(int users, int r, int channels, int decisions) {
     NeighborhoodCache prev;  // only two caches alive at a time
     for (std::size_t i = 0; i < 3; ++i) {
       const auto t0 = Clock::now();
-      NeighborhoodCache cur(h, r, /*build_covers=*/false, counts[i]);
+      NeighborhoodCache cur(h, r, counts[i]);
       *build_ms[i] =
           std::chrono::duration<double, std::milli>(Clock::now() - t0)
               .count();
@@ -476,9 +525,13 @@ std::string json_of(const std::vector<Cell>& cells, int channels) {
       std::snprintf(buf, sizeof(buf),
                     "     \"obs_off_ms_per_decision\": %.4f, "
                     "\"obs_on_ms_per_decision\": %.4f, "
+                    "\"obs_pairs\": %d, \"obs_off_ratio_median\": %.4f, "
+                    "\"obs_off_ratio_ci95\": [%.4f, %.4f], "
+                    "\"obs_off_ratio_limit\": %.4f, "
                     "\"obs_overhead_ok\": %s,\n",
-                    c.obs_off_ms, c.obs_on_ms,
-                    c.obs_overhead_ok ? "true" : "false");
+                    c.obs_off_ms, c.obs_on_ms, c.obs_pairs,
+                    c.obs_ratio_median, c.obs_ratio_lo, c.obs_ratio_hi,
+                    c.obs_ratio_limit, c.obs_overhead_ok ? "true" : "false");
       out += buf;
     }
     out += stages_json("seed_stages_ms", c.seed_stages) + ",\n";
@@ -505,7 +558,7 @@ int main(int argc, char** argv) {
 
   std::cout << "=== Decision path: seed re-derivation vs cached "
                "(NeighborhoodCache + SolveScratch) ===\n"
-            << "    (identical enhanced local solver on both paths; "
+            << "    (identical B&B local solver on both paths; "
                "speedup isolates the caching)\n\n";
 
   struct GridCell {
@@ -613,7 +666,8 @@ int main(int argc, char** argv) {
     std::cout << "\n--- observability overhead (telemetry spine disabled vs "
                  "recording; cached path) ---\n";
     TablePrinter obs_table({"users", "r", "obs off ms", "obs on ms",
-                            "off vs headline"});
+                            "off vs headline", "off/base median [95% CI]",
+                            "limit"});
     for (const Cell& c : cells) {
       if (!c.obs_measured) continue;
       obs_table.row(std::to_string(c.users), std::to_string(c.r),
@@ -621,7 +675,12 @@ int main(int argc, char** argv) {
                     fixed(100.0 * c.obs_off_ms /
                               std::max(c.cached_ms, 1e-12),
                           1) +
-                        "%" + (c.obs_overhead_ok ? "" : " REGRESSED"));
+                        "%",
+                    fixed(c.obs_ratio_median, 3) + " [" +
+                        fixed(c.obs_ratio_lo, 3) + ", " +
+                        fixed(c.obs_ratio_hi, 3) + "]",
+                    fixed(c.obs_ratio_limit, 3) +
+                        (c.obs_overhead_ok ? "" : " REGRESSED"));
     }
     obs_table.print(std::cout);
   }
@@ -645,7 +704,8 @@ int main(int argc, char** argv) {
     std::cout << "cache builds byte-identical at all worker counts: "
               << (builds_identical ? "yes" : "NO — BUG") << "\n";
   if (any_obs)
-    std::cout << "disabled-observability path within 2% of headline: "
+    std::cout << "disabled-observability path not shown > 2% slower "
+                 "(95% CI of off/base): "
               << (obs_ok ? "yes" : "NO — hot-path overhead") << "\n";
 
   const std::string json = json_of(cells, kChannels);

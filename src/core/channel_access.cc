@@ -23,7 +23,6 @@ scenario::SolverSpec solver_spec(const ChannelAccessConfig& cfg) {
   spec.local_solver = cfg.local_solver;
   spec.node_cap = cfg.bnb_node_cap;
   spec.parallelism = cfg.local_solve_parallelism;
-  spec.memoized_covers = cfg.use_memoized_covers;
   spec.epsilon = cfg.ptas_epsilon;
   return spec;
 }

@@ -56,8 +56,6 @@ struct ChannelAccessConfig {
   /// to inline like scenario::SolverSpec (static_assert-pinned); raise it
   /// for big single-scheme deployments on idle cores.
   int local_solve_parallelism = 1;
-  /// Reuse memoized per-ball clique covers (see src/mwis/README.md).
-  bool use_memoized_covers = false;
 
   RoundTiming timing{};
   int update_period = 1;

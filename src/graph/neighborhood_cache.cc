@@ -32,8 +32,7 @@ NeighborhoodCache::EballTier NeighborhoodCache::select_eball_tier(int n) {
                                            : EballTier::kImplicit;
 }
 
-NeighborhoodCache::NeighborhoodCache(const Graph& g, int r, bool build_covers,
-                                     int parallelism)
+NeighborhoodCache::NeighborhoodCache(const Graph& g, int r, int parallelism)
     : r_(r), size_(g.size()), tier_(select_eball_tier(g.size())) {
   MHCA_ASSERT(r >= 1, "r must be at least 1");
   const auto n = static_cast<std::size_t>(size_);
@@ -43,7 +42,6 @@ NeighborhoodCache::NeighborhoodCache(const Graph& g, int r, bool build_covers,
     e_sizes_.assign(n, 0);
   else
     e_offsets_.assign(n + 1, 0);
-  if (build_covers) cover_counts_.assign(n, 0);
 
   const int workers = build_workers(parallelism, size_);
   if (workers <= 1) {
@@ -54,7 +52,6 @@ NeighborhoodCache::NeighborhoodCache(const Graph& g, int r, bool build_covers,
     BfsScratch scratch(size_);
     std::vector<int> r_ball;
     std::vector<int> e_ball;
-    std::vector<int> clique_of;
     for (int v = 0; v < size_; ++v) {
       scratch.two_radius_neighborhood(g, v, r_, 2 * r_ + 1, r_ball, e_ball);
       if (implicit) {
@@ -70,12 +67,6 @@ NeighborhoodCache::NeighborhoodCache(const Graph& g, int r, bool build_covers,
           r_offsets_[static_cast<std::size_t>(v)] +
           static_cast<std::int64_t>(r_ball.size());
       r_data_.insert(r_data_.end(), r_ball.begin(), r_ball.end());
-      if (build_covers) {
-        cover_counts_[static_cast<std::size_t>(v)] =
-            build_ball_cover(g, r_ball, clique_of);
-        cover_data_.insert(cover_data_.end(), clique_of.begin(),
-                           clique_of.end());
-      }
     }
     return;
   }
@@ -121,14 +112,12 @@ NeighborhoodCache::NeighborhoodCache(const Graph& g, int r, bool build_covers,
   }
   r_data_.resize(static_cast<std::size_t>(r_offsets_[n]));
   if (!implicit) e_data_.resize(static_cast<std::size_t>(e_offsets_[n]));
-  if (build_covers) cover_data_.resize(r_data_.size());
   parallel_run(
       workers,
       [&](int j) {
         auto& scratch = scratches[static_cast<std::size_t>(j)];
         std::vector<int> r_ball;
         std::vector<int> e_ball;
-        std::vector<int> clique_of;
         const auto [lo, hi] = slice(j);
         for (int v = lo; v < hi; ++v) {
           const auto vi = static_cast<std::size_t>(v);
@@ -148,12 +137,6 @@ NeighborhoodCache::NeighborhoodCache(const Graph& g, int r, bool build_covers,
             std::copy(e_ball.begin(), e_ball.end(),
                       e_data_.begin() +
                           static_cast<std::ptrdiff_t>(e_offsets_[vi]));
-          if (build_covers) {
-            cover_counts_[vi] = build_ball_cover(g, r_ball, clique_of);
-            std::copy(clique_of.begin(), clique_of.end(),
-                      cover_data_.begin() +
-                          static_cast<std::ptrdiff_t>(r_offsets_[vi]));
-          }
         }
       },
       workers);
@@ -164,8 +147,7 @@ std::int64_t NeighborhoodCache::resident_bytes() const {
     return static_cast<std::int64_t>(vec.size() * sizeof(vec[0]));
   };
   return bytes(r_offsets_) + bytes(r_data_) + bytes(e_offsets_) +
-         bytes(e_data_) + bytes(e_sizes_) + bytes(cover_data_) +
-         bytes(cover_counts_);
+         bytes(e_data_) + bytes(e_sizes_);
 }
 
 std::int64_t NeighborhoodCache::explicit_layout_bytes() const {
@@ -215,12 +197,11 @@ void NeighborhoodCache::apply_delta(const Graph& g,
   // recomputed balls plus whatever suffix actually moved. On the implicit
   // tier the e-ball side degenerates to overwriting the affected sizes.
   const auto n = static_cast<std::size_t>(size_);
-  const bool covers = has_covers();
   const bool implicit = tier_ == EballTier::kImplicit;
   std::vector<int> aff;                      // affected ids, ascending
   std::vector<std::int64_t> ar_off{0}, ae_off{0};  // per-affected offsets
-  std::vector<int> ar_data, ae_data, acov_data;
-  std::vector<int> r_ball_buf, e_ball_buf, clique_of;
+  std::vector<int> ar_data, ae_data;
+  std::vector<int> r_ball_buf, e_ball_buf;
   for (int v = 0; v < size_; ++v) {
     if (!affected[static_cast<std::size_t>(v)]) continue;
     aff.push_back(v);
@@ -234,11 +215,6 @@ void NeighborhoodCache::apply_delta(const Graph& g,
     } else {
       ae_data.insert(ae_data.end(), e_ball_buf.begin(), e_ball_buf.end());
       ae_off.push_back(static_cast<std::int64_t>(ae_data.size()));
-    }
-    if (covers) {
-      cover_counts_[static_cast<std::size_t>(v)] =
-          build_ball_cover(g, r_ball_buf, clique_of);
-      acov_data.insert(acov_data.end(), clique_of.begin(), clique_of.end());
     }
   }
 
@@ -255,8 +231,7 @@ void NeighborhoodCache::apply_delta(const Graph& g,
   const auto patch = [&](std::vector<std::int64_t>& offsets,
                          std::vector<int>& data,
                          const std::vector<std::int64_t>& a_off,
-                         const std::vector<int>& a_data,
-                         std::vector<int>* cov_data) {
+                         const std::vector<int>& a_data) {
     int first_shift = size_;
     for (std::size_t i = 0; i < aff.size(); ++i) {
       if (new_size(a_off, i) != old_size(offsets, aff[i])) {
@@ -272,14 +247,11 @@ void NeighborhoodCache::apply_delta(const Graph& g,
       const auto len = static_cast<std::ptrdiff_t>(new_size(a_off, i));
       std::copy(a_data.begin() + src, a_data.begin() + src + len,
                 data.begin() + dst);
-      if (cov_data)
-        std::copy(acov_data.begin() + src, acov_data.begin() + src + len,
-                  cov_data->begin() + dst);
     }
     if (first_shift == size_) return;
     // Rebuild the shifted suffix: affected spans from the buffers,
     // unaffected ones copied over from their (still intact) old position.
-    std::vector<int> tail, cov_tail;
+    std::vector<int> tail;
     std::vector<std::int64_t> sizes;
     sizes.reserve(n - static_cast<std::size_t>(first_shift));
     for (int v = first_shift; v < size_; ++v) {
@@ -288,9 +260,6 @@ void NeighborhoodCache::apply_delta(const Graph& g,
         const auto len = static_cast<std::ptrdiff_t>(new_size(a_off, i));
         tail.insert(tail.end(), a_data.begin() + src,
                     a_data.begin() + src + len);
-        if (cov_data)
-          cov_tail.insert(cov_tail.end(), acov_data.begin() + src,
-                          acov_data.begin() + src + len);
         sizes.push_back(len);
         ++i;
       } else {
@@ -298,9 +267,6 @@ void NeighborhoodCache::apply_delta(const Graph& g,
             offsets[static_cast<std::size_t>(v)]);
         const auto len = static_cast<std::ptrdiff_t>(old_size(offsets, v));
         tail.insert(tail.end(), data.begin() + b, data.begin() + b + len);
-        if (cov_data)
-          cov_tail.insert(cov_tail.end(), cov_data->begin() + b,
-                          cov_data->begin() + b + len);
         sizes.push_back(len);
       }
     }
@@ -309,52 +275,14 @@ void NeighborhoodCache::apply_delta(const Graph& g,
     data.resize(keep + tail.size());
     std::copy(tail.begin(), tail.end(),
               data.begin() + static_cast<std::ptrdiff_t>(keep));
-    if (cov_data) {
-      cov_data->resize(keep + cov_tail.size());
-      std::copy(cov_tail.begin(), cov_tail.end(),
-                cov_data->begin() + static_cast<std::ptrdiff_t>(keep));
-    }
     for (int v = first_shift; v < size_; ++v)
       offsets[static_cast<std::size_t>(v) + 1] =
           offsets[static_cast<std::size_t>(v)] +
           sizes[static_cast<std::size_t>(v - first_shift)];
   };
-  patch(r_offsets_, r_data_, ar_off, ar_data, covers ? &cover_data_ : nullptr);
-  if (!implicit) patch(e_offsets_, e_data_, ae_off, ae_data, nullptr);
+  patch(r_offsets_, r_data_, ar_off, ar_data);
+  if (!implicit) patch(e_offsets_, e_data_, ae_off, ae_data);
   last_invalidated_ = static_cast<int>(aff.size());
-}
-
-int NeighborhoodCache::build_ball_cover(const Graph& g,
-                                        std::span<const int> ball,
-                                        std::vector<int>& clique_of) {
-  clique_of.assign(ball.size(), -1);
-  // Cliques as (first-member-index, id) chains would save memory, but balls
-  // are small; plain member lists keep the placement check obvious.
-  std::vector<std::vector<int>> cliques;
-  for (std::size_t i = 0; i < ball.size(); ++i) {
-    const int v = ball[i];
-    bool placed = false;
-    for (std::size_t q = 0; q < cliques.size(); ++q) {
-      bool all_adjacent = true;
-      for (int u : cliques[q]) {
-        if (!g.has_edge(v, u)) {
-          all_adjacent = false;
-          break;
-        }
-      }
-      if (all_adjacent) {
-        cliques[q].push_back(v);
-        clique_of[i] = static_cast<int>(q);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) {
-      clique_of[i] = static_cast<int>(cliques.size());
-      cliques.push_back({v});
-    }
-  }
-  return static_cast<int>(cliques.size());
 }
 
 }  // namespace mhca

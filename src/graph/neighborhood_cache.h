@@ -27,15 +27,9 @@
 // `MHCA_EBALL_TIER=explicit|implicit` overrides the size rule (read per
 // construction — tests force both tiers on the same graph).
 //
-// Optionally (`build_covers`) the cache also memoizes, per vertex, a greedy
-// clique cover of its r-ball computed in the weight-free id-ascending order
-// (`build_ball_cover`): the ball's clique *structure* never changes between
-// slots, only the weights do, so the partition can be reused by restricting
-// it to the current candidate subset (a subset of a clique is a clique).
-// Covers are opt-in because the weight-free partition is measurably weaker
-// as a bound than the per-solve weight-descending cover on hard instances
-// (see src/mwis/README.md for the measurement); they pay off only where
-// cover construction, not tree search, dominates.
+// Only ball membership is stored. The local solver's clique cover is not
+// memoized here: it is rebuilt per solve in weight-descending order, a far
+// tighter bound than any weight-free partition (src/mwis/README.md).
 //
 // Reuse contract: the cache borrows the graph; the graph must be finalized
 // first. When the graph *does* change (dynamics, src/dynamics/README.md),
@@ -62,8 +56,7 @@ class NeighborhoodCache {
   /// Precompute, for every vertex v of g, the sorted r-hop ball J_r(v)
   /// (always an explicit CSR span) and the (2r+1)-hop election ball
   /// J_{2r+1}(v) — stored per the selected tier (see file comment). Both
-  /// include v. With `build_covers`, also memoize each r-ball's clique
-  /// cover.
+  /// include v.
   ///
   /// `parallelism` fans the per-vertex BFS across worker threads with a
   /// two-pass count-then-fill layout into the CSR arrays (pass 1 sizes
@@ -75,11 +68,9 @@ class NeighborhoodCache {
   /// 1 = the serial single-pass build; 0 = the MHCA_CACHE_BUILD_WORKERS
   /// environment variable if set (CI uses it to pin determinism across
   /// worker counts), else one worker per hardware thread.
-  NeighborhoodCache(const Graph& g, int r, bool build_covers = false,
-                    int parallelism = 0);
+  NeighborhoodCache(const Graph& g, int r, int parallelism = 0);
 
   bool built() const { return !r_offsets_.empty(); }
-  bool has_covers() const { return !cover_counts_.empty(); }
   int r() const { return r_; }
   int size() const { return size_; }
   EballTier eball_tier() const { return tier_; }
@@ -110,16 +101,6 @@ class NeighborhoodCache {
     return span_of(e_offsets_, e_data_, v);
   }
 
-  /// Clique id per member of r_ball(v), aligned with that span. Ids are
-  /// dense in [0, r_ball_clique_count(v)).
-  std::span<const int> r_ball_cover(int v) const {
-    return span_of(r_offsets_, cover_data_, v);
-  }
-
-  int r_ball_clique_count(int v) const {
-    return cover_counts_[static_cast<std::size_t>(v)];
-  }
-
   int r_ball_size(int v) const {
     return static_cast<int>(r_ball(v).size());
   }
@@ -136,8 +117,7 @@ class NeighborhoodCache {
   /// Total stored ball entries (memory introspection; the implicit tier
   /// contributes no e-ball entries).
   std::int64_t total_entries() const {
-    return static_cast<std::int64_t>(r_data_.size() + e_data_.size() +
-                                     cover_data_.size());
+    return static_cast<std::int64_t>(r_data_.size() + e_data_.size());
   }
 
   /// Bytes actually held by the cache's arrays.
@@ -163,7 +143,7 @@ class NeighborhoodCache {
   /// that added only vertices whose balls hadn't changed — and the
   /// implicit tier has no stored balls to read.)
   ///
-  /// Only affected vertices re-run BFS (and cover construction), and only
+  /// Only affected vertices re-run BFS, and only
   /// moved bytes are written: spans whose size is unchanged — and every
   /// span before the first size change — keep their offsets and are
   /// patched in place; the suffix from the first size-changing vertex on
@@ -174,16 +154,6 @@ class NeighborhoodCache {
 
   /// Affected vertices of the last apply_delta (introspection for benches).
   int last_invalidated() const { return last_invalidated_; }
-
-  /// Greedy clique cover of `ball` (sorted vertex ids of g) in id-ascending
-  /// order: each vertex joins the first clique it is fully adjacent to, else
-  /// opens a new one. Writes the clique id of ball[i] to clique_of[i]
-  /// (resized) and returns the clique count. Weight-free and deterministic,
-  /// so a memoized cover and a freshly built one are always identical —
-  /// the seed decision path rebuilds this per solve, the cached path reads
-  /// it back from the cache, and both reach byte-identical solver behavior.
-  static int build_ball_cover(const Graph& g, std::span<const int> ball,
-                              std::vector<int>& clique_of);
 
  private:
   static std::span<const int> span_of(const std::vector<std::int64_t>& off,
@@ -202,8 +172,6 @@ class NeighborhoodCache {
   std::vector<std::int64_t> e_offsets_;  ///< size_+1; explicit tier only.
   std::vector<int> e_data_;              ///< Explicit tier only.
   std::vector<int> e_sizes_;             ///< size_; implicit tier only.
-  std::vector<int> cover_data_;          ///< Aligned with r_data_ when built.
-  std::vector<int> cover_counts_;        ///< Cliques per r-ball when built.
   int last_invalidated_ = 0;
 };
 

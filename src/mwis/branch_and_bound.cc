@@ -12,24 +12,12 @@ namespace {
 /// One in-flight solve over caller-owned scratch buffers. Local vertex ids
 /// are 0..n-1 (sorted original ids), adjacency as n bitset rows for O(n/64)
 /// conflict checks.
-///
-/// Hosts both search modes (see branch_and_bound.h): `run_classic` is the
-/// seed algorithm, kept for solver-level baselines and equivalence tests;
-/// `run_enhanced` adds reductions, component decomposition, conflict
-/// counters and the refined bound stack.
 class Search {
  public:
   Search(const Graph& g, std::span<const double> weights,
          std::span<const int> candidates, std::int64_t cap, SolveScratch& s,
          const BnbSolveOptions& opts)
       : s_(s), opts_(opts), cap_(cap) {
-    if (!opts_.cand_clique_ids.empty()) {
-      MHCA_ASSERT(opts_.enhanced, "memoized covers require the enhanced search");
-      MHCA_ASSERT(opts_.cand_clique_ids.size() == candidates.size(),
-                  "clique-id span must align with candidates");
-      MHCA_ASSERT(std::is_sorted(candidates.begin(), candidates.end()),
-                  "memoized covers require sorted candidates");
-    }
     s_.cands.assign(candidates.begin(), candidates.end());
     std::sort(s_.cands.begin(), s_.cands.end());
     MHCA_ASSERT(std::adjacent_find(s_.cands.begin(), s_.cands.end()) ==
@@ -54,7 +42,7 @@ class Search {
   }
 
   MwisResult run() {
-    MwisResult res = opts_.enhanced ? run_enhanced() : run_classic();
+    MwisResult res = search();
     std::sort(res.vertices.begin(), res.vertices.end());
     res.exact = !aborted_;
     res.nodes_explored = explored_;
@@ -165,33 +153,6 @@ class Search {
               });
   }
 
-  // -------------------------------------------------------------- classic
-
-  MwisResult run_classic() {
-    build_order(/*active_only=*/false);
-    build_clique_cover_greedy();
-    sort_cliques_and_suffix(0, num_cliques_, /*sentinel=*/true,
-                            /*clamp_negative_maxima=*/false);
-    seed_with_greedy();
-    s_.chosen_mask.assign(blocks_, 0);
-    s_.chosen.clear();
-    cur_weight_ = 0.0;
-    dfs_classic(0);
-
-    MwisResult res;
-    res.vertices.reserve(s_.best_set.size());
-    for (std::size_t i : s_.best_set) res.vertices.push_back(s_.cands[i]);
-    res.weight = best_weight_;
-    return res;
-  }
-
-  bool conflicts_with_chosen(std::size_t v) const {
-    const std::uint64_t* row = &s_.adj[v * blocks_];
-    for (std::size_t b = 0; b < blocks_; ++b)
-      if (row[b] & s_.chosen_mask[b]) return true;
-    return false;
-  }
-
   /// Greedy clique cover: visit vertices of `order` by weight desc; place
   /// each into the first clique it is fully adjacent to, else open a new
   /// clique. On the extended conflict graph this recovers (refinements of)
@@ -230,14 +191,10 @@ class Search {
   /// tightens early (members are already weight-descending), then fill
   /// `remaining` with suffix sums of per-clique maxima over that range:
   /// remaining[i] bounds any completion of a partial solution that has
-  /// settled cliques begin..i-1 of the range. With `sentinel`,
-  /// remaining[end] is written as 0 (the classic search reads it).
-  /// `clamp_negative_maxima` floors each clique's contribution at 0 — a
-  /// completion may always leave a clique empty, so a negative max must not
-  /// drag the bound below what is achievable; the classic search keeps the
-  /// seed's unclamped arithmetic (the paper's index weights are positive).
-  void sort_cliques_and_suffix(std::size_t begin, std::size_t end,
-                               bool sentinel, bool clamp_negative_maxima) {
+  /// settled cliques begin..i-1 of the range. Each clique's contribution is
+  /// floored at 0 — a completion may always leave a clique empty, so a
+  /// negative max must not drag the bound below what is achievable.
+  void sort_cliques_and_suffix(std::size_t begin, std::size_t end) {
     auto& cliques = s_.cliques;
     std::sort(cliques.begin() + static_cast<std::ptrdiff_t>(begin),
               cliques.begin() + static_cast<std::ptrdiff_t>(end),
@@ -246,26 +203,24 @@ class Search {
                   return s_.w[a.front()] > s_.w[b.front()];
                 return a.front() < b.front();
               });
-    if (s_.remaining.size() < end + 1) s_.remaining.resize(end + 1);
-    if (sentinel) s_.remaining[end] = 0.0;
+    if (s_.remaining.size() < end) s_.remaining.resize(end);
     for (std::size_t i = end; i-- > begin;) {
       double top = s_.w[cliques[i].front()];
-      if (clamp_negative_maxima && top < 0.0) top = 0.0;
+      if (top < 0.0) top = 0.0;
       s_.remaining[i] = (i + 1 < end ? s_.remaining[i + 1] : 0.0) + top;
     }
   }
 
-  /// One masked weight-descending greedy pass over `s_.order`: every taken
-  /// vertex is marked in `greedy_mask` and handed to `take`. The single
-  /// scan serves the classic incumbent, the enhanced anytime backstop, and
-  /// the per-group incumbents — one place for the tie-handling and the
-  /// negative-weight cutoff. `skip_negative` is off on the classic path
-  /// (seed behavior, positive-weight domain).
+  /// One masked weight-descending greedy pass over `s_.order`, stopping at
+  /// the first negative weight: every taken vertex is marked in
+  /// `greedy_mask` and handed to `take`. The single scan serves the anytime
+  /// backstop and the per-group incumbents — one place for the
+  /// tie-handling and the negative-weight cutoff.
   template <typename Take>
-  void greedy_scan(bool skip_negative, Take&& take) {
+  void greedy_scan(Take&& take) {
     s_.greedy_mask.assign(blocks_, 0);
     for (std::size_t v : s_.order) {
-      if (skip_negative && s_.w[v] < 0.0) break;  // order is weight-desc
+      if (s_.w[v] < 0.0) break;  // order is weight-desc
       const std::uint64_t* row = &s_.adj[v * blocks_];
       bool ok = true;
       for (std::size_t b = 0; b < blocks_; ++b)
@@ -280,60 +235,15 @@ class Search {
     }
   }
 
-  void seed_with_greedy() {
-    s_.best_set.clear();
-    best_weight_ = 0.0;
-    greedy_scan(/*skip_negative=*/false, [&](std::size_t v) {
-      s_.best_set.push_back(v);
-      best_weight_ += s_.w[v];
-    });
-  }
+  // --------------------------------------------------------------- search
 
-  void dfs_classic(std::size_t ci) {
-    if (aborted_) return;
-    if (++explored_ > cap_) {
-      aborted_ = true;
-      return;
-    }
-    if (ci == num_cliques_) {
-      if (cur_weight_ > best_weight_) {
-        best_weight_ = cur_weight_;
-        s_.best_set = s_.chosen;
-      }
-      return;
-    }
-    if (cur_weight_ + s_.remaining[ci] <= best_weight_) return;  // bound
-    bool rest_pruned = false;
-    for (std::size_t v : s_.cliques[ci]) {
-      // Members are weight-descending: once cur + w[v] + UB(rest) cannot
-      // beat the incumbent, neither can any later (lighter) member — and,
-      // for w[v] >= 0, neither can leaving the clique empty.
-      if (cur_weight_ + s_.w[v] + s_.remaining[ci + 1] <= best_weight_) {
-        rest_pruned = s_.w[v] >= 0.0;
-        break;
-      }
-      if (conflicts_with_chosen(v)) continue;
-      s_.chosen_mask[v / 64] |= (std::uint64_t{1} << (v % 64));
-      s_.chosen.push_back(v);
-      cur_weight_ += s_.w[v];
-      dfs_classic(ci + 1);
-      cur_weight_ -= s_.w[v];
-      s_.chosen.pop_back();
-      s_.chosen_mask[v / 64] &= ~(std::uint64_t{1} << (v % 64));
-      if (aborted_) return;
-    }
-    if (!rest_pruned) dfs_classic(ci + 1);  // leave this clique empty
-  }
-
-  // ------------------------------------------------------------- enhanced
-
-  MwisResult run_enhanced() {
+  MwisResult search() {
     // Full-instance greedy backstop, computed on the untouched instance so
     // the anytime contract (result >= greedy) survives reductions + abort.
     build_order(/*active_only=*/false);
     s_.fallback_set.clear();
     double fallback_w = 0.0;
-    greedy_scan(/*skip_negative=*/true, [&](std::size_t v) {
+    greedy_scan([&](std::size_t v) {
       s_.fallback_set.push_back(v);
       fallback_w += s_.w[v];
     });
@@ -353,11 +263,7 @@ class Search {
     // (same contents, weights untouched by any fold) instead of re-sorting.
     if (removed != 0) build_order(/*active_only=*/true);
     label_components();
-    if (!opts_.cand_clique_ids.empty()) {
-      build_clique_cover_memoized();
-    } else {
-      build_clique_cover_greedy();  // order is active-only here
-    }
+    build_clique_cover_greedy();  // order is active-only here
     group_cliques_by_component();
     seed_groups_with_greedy();
 
@@ -370,7 +276,7 @@ class Search {
       best_w_ = &s_.group_best_w[g];
       best_out_ = &s_.group_best[g];
       cur_weight_ = 0.0;
-      dfs_enhanced(s_.group_begin[g]);
+      dfs(s_.group_begin[g]);
     }
 
     // Assemble: forced takes + per-group bests, then unfold in reverse
@@ -577,36 +483,6 @@ class Search {
     }
   }
 
-  /// Rebuild the memoized cover restricted to live vertices: bucket by the
-  /// caller-provided clique id, then weight-sort members. Restriction
-  /// preserves validity (a subset of a clique is a clique) so the bound
-  /// stays sound for any weights — only the partition is reused.
-  void build_clique_cover_memoized() {
-    num_cliques_ = 0;
-    s_.qid_bucket.assign(static_cast<std::size_t>(opts_.clique_id_bound), -1);
-    auto& cliques = s_.cliques;
-    for (std::size_t i = 0; i < n_; ++i) {
-      if (s_.vstate[i] != kActive) continue;
-      const int qid = opts_.cand_clique_ids[i];
-      MHCA_ASSERT(qid >= 0 && qid < opts_.clique_id_bound,
-                  "clique id out of range");
-      int& bucket = s_.qid_bucket[static_cast<std::size_t>(qid)];
-      if (bucket < 0) {
-        bucket = static_cast<int>(num_cliques_);
-        if (num_cliques_ == cliques.size()) cliques.emplace_back();
-        cliques[num_cliques_].clear();
-        ++num_cliques_;
-      }
-      cliques[static_cast<std::size_t>(bucket)].push_back(i);
-    }
-    for (std::size_t qi = 0; qi < num_cliques_; ++qi)
-      std::sort(cliques[qi].begin(), cliques[qi].end(),
-                [&](std::size_t a, std::size_t b) {
-                  if (s_.w[a] != s_.w[b]) return s_.w[a] > s_.w[b];
-                  return a < b;
-                });
-  }
-
   /// Partition cliques into contiguous per-component ranges (a clique's
   /// members are pairwise adjacent, hence single-component) and build each
   /// range's suffix bound independently.
@@ -631,9 +507,7 @@ class Search {
              s_.comp[cliques[i].front()] == static_cast<int>(g))
         ++i;
       s_.group_end[g] = i;
-      sort_cliques_and_suffix(s_.group_begin[g], s_.group_end[g],
-                              /*sentinel=*/false,
-                              /*clamp_negative_maxima=*/true);
+      sort_cliques_and_suffix(s_.group_begin[g], s_.group_end[g]);
       compute_pair_deductions(s_.group_begin[g], s_.group_end[g]);
     }
     MHCA_ASSERT(i == num_cliques_, "clique grouping lost a clique");
@@ -692,7 +566,7 @@ class Search {
     s_.group_best_w.assign(num_groups_, 0.0);
     while (s_.group_best.size() < num_groups_) s_.group_best.emplace_back();
     for (std::size_t g = 0; g < num_groups_; ++g) s_.group_best[g].clear();
-    greedy_scan(/*skip_negative=*/true, [&](std::size_t v) {
+    greedy_scan([&](std::size_t v) {
       const auto g = static_cast<std::size_t>(s_.comp[v]);
       s_.group_best[g].push_back(v);
       s_.group_best_w[g] += s_.w[v];
@@ -734,7 +608,7 @@ class Search {
     }
   }
 
-  void dfs_enhanced(std::size_t ci) {
+  void dfs(std::size_t ci) {
     if (aborted_) return;
     if (++explored_ > cap_) {
       aborted_ = true;
@@ -766,13 +640,13 @@ class Search {
       s_.chosen.push_back(v);
       cur_weight_ += s_.w[v];
       bump_neighbors(v, 1);
-      dfs_enhanced(ci + 1);
+      dfs(ci + 1);
       bump_neighbors(v, -1);
       cur_weight_ -= s_.w[v];
       s_.chosen.pop_back();
       if (aborted_) return;
     }
-    if (!rest_pruned) dfs_enhanced(ci + 1);  // leave this clique empty
+    if (!rest_pruned) dfs(ci + 1);  // leave this clique empty
   }
 
   SolveScratch& s_;
@@ -783,10 +657,9 @@ class Search {
   std::size_t num_groups_ = 0;
 
   double cur_weight_ = 0.0;
-  double best_weight_ = 0.0;  ///< Classic-search incumbent.
   double base_weight_ = 0.0;  ///< Weight settled by reductions.
 
-  // Enhanced search: incumbent of the component group being searched.
+  // Incumbent of the component group being searched.
   std::size_t cur_group_end_ = 0;
   double* best_w_ = nullptr;
   std::vector<std::size_t>* best_out_ = nullptr;
@@ -810,16 +683,6 @@ MwisResult BranchAndBoundMwisSolver::solve_with_scratch(
 MwisResult BranchAndBoundMwisSolver::solve(const Graph& g,
                                            std::span<const double> weights,
                                            std::span<const int> candidates) {
-  if (!reuse_scratch_) {
-    // Seed behavior: allocate per solve, list-scan adjacency build, classic
-    // greedy-cover search.
-    SolveScratch fresh;
-    BnbSolveOptions seed_opts;
-    seed_opts.use_adjacency_rows = false;
-    seed_opts.enhanced = false;
-    seed_opts.use_reductions = false;
-    return solve_with_scratch(g, weights, candidates, fresh, seed_opts);
-  }
   return solve_with_scratch(g, weights, candidates, scratch_);
 }
 

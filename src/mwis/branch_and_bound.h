@@ -12,29 +12,15 @@
 // paper's remark that a constant-approximation local solver may replace
 // enumeration.
 //
-// Two search modes share the instance-build code (see BnbSolveOptions):
-//
-//   classic   The seed algorithm: one-shot greedy clique cover, DFS over
-//             cliques with the static suffix-max bound. Kept byte-for-byte
-//             for solver-level baseline comparisons (bench_solver_micro)
-//             and equivalence tests.
-//
-//   enhanced  Preprocessing reductions (non-positive-weight drop, isolated
-//             take, degree-1 take/fold, adjacent weight-dominance removal),
-//             connected-component decomposition (each component searched
-//             independently — sum, not product, of subtree sizes), O(1)
-//             conflict tests via an incremental conflict counter, pairwise
-//             clique-bound corrections, and a residual refinement that
-//             replaces each remaining clique's static max by its best
-//             member not in conflict with the chosen set. Optionally
-//             consumes a memoized clique cover (see NeighborhoodCache)
-//             instead of rebuilding one greedily per solve.
-//
-// Both modes are exact when they complete: on instances with a unique
-// optimum they return identical results. Under a node-cap abort the two
-// modes may return *different* (equally valid) anytime incumbents, because
-// their search trees differ. See src/mwis/README.md for the bound
-// hierarchy and the memoization contract.
+// One search serves every caller: exactness-preserving reductions
+// (non-positive-weight drop, isolated take, degree-1 take/fold, adjacent
+// weight-dominance removal), connected-component decomposition (each
+// component searched independently — sum, not product, of subtree sizes),
+// O(1) conflict tests via an incremental conflict counter, pairwise
+// clique-bound corrections, and a residual refinement that replaces each
+// remaining clique's static max by its best member not in conflict with
+// the chosen set. The clique cover is rebuilt greedily per solve, weight
+// descending. See src/mwis/README.md for the bound hierarchy.
 //
 // Repeated solves (one per leader per decision slot) dominate the decision
 // path, so the per-solve working set lives in a caller-owned `SolveScratch`
@@ -71,7 +57,6 @@ struct SolveScratch {
   std::vector<std::size_t> chosen;
   std::vector<std::uint64_t> greedy_mask;
   std::vector<std::size_t> best_set;
-  // Enhanced-mode state (unused by the classic search).
   std::vector<int> conflict_cnt;         ///< #chosen neighbors per vertex.
   std::vector<std::uint8_t> vstate;      ///< Reduction state per vertex.
   std::vector<int> degree;               ///< Live local degree.
@@ -80,7 +65,6 @@ struct SolveScratch {
   std::vector<std::pair<std::size_t, std::size_t>> folds;  ///< (kept, folded).
   std::vector<int> comp;                 ///< Component label per vertex.
   std::vector<std::size_t> comp_queue;   ///< Component BFS queue.
-  std::vector<int> qid_bucket;           ///< Memo clique id -> bucket index.
   std::vector<std::size_t> group_begin;  ///< Clique range per component.
   std::vector<std::size_t> group_end;
   std::vector<double> group_best_w;
@@ -91,41 +75,24 @@ struct SolveScratch {
 };
 
 /// Per-solve feature selection for BranchAndBoundMwisSolver. The defaults
-/// are the fast path; all-false (plus use_adjacency_rows=false) reproduces
-/// the seed implementation exactly.
+/// are the fast path.
 struct BnbSolveOptions {
   /// Gather local adjacency from the graph's packed rows when available —
   /// dense bitset rows for n <= Graph::kAdjacencyMatrixLimit, sharded
   /// sparse-row blocks beyond it (false = per-neighbor binary search, the
-  /// seed build).
+  /// seed build; same adjacency either way).
   bool use_adjacency_rows = true;
-  /// Enhanced search: component decomposition + conflict counters +
-  /// residual-refined clique bound. False = classic (seed) search.
-  bool enhanced = true;
-  /// Preprocessing reductions (requires `enhanced`; ignored otherwise).
+  /// Preprocessing reductions. Off only to drive the bound stack on
+  /// unreduced instances in tests.
   bool use_reductions = true;
-  /// Memoized clique cover: clique id per candidate, aligned with the
-  /// *sorted* candidate span (callers pass candidates pre-sorted when using
-  /// this). Ids must be < clique_id_bound; members of one id must be
-  /// pairwise adjacent. Empty = build a greedy cover per solve. Requires
-  /// `enhanced`.
-  std::span<const int> cand_clique_ids = {};
-  int clique_id_bound = 0;
 };
 
 class BranchAndBoundMwisSolver : public MwisSolver {
  public:
-  /// `reuse_scratch`: keep one SolveScratch inside the solver so repeated
-  /// `solve` calls reuse buffers, gather adjacency from bitset rows, and run
-  /// the enhanced search. With false, every solve allocates fresh, builds
-  /// adjacency by per-neighbor binary search and runs the classic search —
-  /// the seed implementation's behavior, kept for equivalence tests and
-  /// solver-level baselines. Both modes are exact when they complete
-  /// (`exact == true`), so they agree on every instance whose optimum is
-  /// unique; under a node-cap abort their anytime incumbents may differ.
-  explicit BranchAndBoundMwisSolver(std::int64_t node_cap = 5'000'000,
-                                    bool reuse_scratch = true)
-      : node_cap_(node_cap), reuse_scratch_(reuse_scratch) {}
+  /// `solve` reuses one SolveScratch kept inside the solver; callers that
+  /// solve concurrently pass their own to `solve_with_scratch`.
+  explicit BranchAndBoundMwisSolver(std::int64_t node_cap = 5'000'000)
+      : node_cap_(node_cap) {}
 
   std::string name() const override { return "branch-and-bound"; }
 
@@ -143,8 +110,7 @@ class BranchAndBoundMwisSolver : public MwisSolver {
 
  private:
   std::int64_t node_cap_;
-  bool reuse_scratch_;
-  SolveScratch scratch_;  ///< Used only when reuse_scratch_.
+  SolveScratch scratch_;  ///< Backs `solve`.
 };
 
 }  // namespace mhca

@@ -58,8 +58,7 @@ DistributedRobustPtas::DistributedRobustPtas(const Graph& h,
   MHCA_ASSERT(cfg_.local_solve_parallelism >= 0, "negative parallelism");
   MHCA_ASSERT(cfg_.cache_build_parallelism >= 0, "negative parallelism");
   if (cfg_.use_decision_cache) {
-    cache_ = NeighborhoodCache(h, cfg_.r, cfg_.use_memoized_covers,
-                               cfg_.cache_build_parallelism);
+    cache_ = NeighborhoodCache(h, cfg_.r, cfg_.cache_build_parallelism);
     // SoA election state is allocated once here and epoch-reset per
     // decision (see the header note); the graph's vertex count is fixed
     // for the engine's lifetime.
@@ -362,39 +361,21 @@ void DistributedRobustPtas::elect_by_cache(
 void DistributedRobustPtas::gather_local_instances(
     const std::vector<int>& leaders, const std::vector<VertexStatus>& status) {
   gather_cands_.clear();
-  gather_cover_ids_.clear();
   gather_offsets_.clear();
-  gather_cover_counts_.assign(leaders.size(), 0);
   gather_offsets_.reserve(leaders.size() + 1);
   gather_offsets_.push_back(0);
   for (std::size_t li = 0; li < leaders.size(); ++li) {
     const int leader = leaders[li];
     std::span<const int> ball;
-    std::span<const int> ball_cover;
     if (cache_.built()) {
       ball = cache_.r_ball(leader);
-      if (cfg_.use_memoized_covers) {
-        ball_cover = cache_.r_ball_cover(leader);
-        gather_cover_counts_[li] = cache_.r_ball_clique_count(leader);
-      }
     } else {
       scratch_.k_hop_neighborhood(h_, leader, cfg_.r, ball_buf_);
       ball = ball_buf_;
-      if (cfg_.use_memoized_covers) {
-        // Seed path: rebuild the (weight-free, deterministic) ball cover the
-        // cache would have memoized — identical ids by construction.
-        gather_cover_counts_[li] =
-            NeighborhoodCache::build_ball_cover(h_, ball, cover_buf_);
-        ball_cover = cover_buf_;
-      }
     }
-    for (std::size_t i = 0; i < ball.size(); ++i) {
-      const int v = ball[i];
-      if (status[static_cast<std::size_t>(v)] != VertexStatus::kCandidate)
-        continue;
-      gather_cands_.push_back(v);
-      if (cfg_.use_memoized_covers) gather_cover_ids_.push_back(ball_cover[i]);
-    }
+    for (const int v : ball)
+      if (status[static_cast<std::size_t>(v)] == VertexStatus::kCandidate)
+        gather_cands_.push_back(v);
     gather_offsets_.push_back(gather_cands_.size());
   }
 }
@@ -418,13 +399,6 @@ void DistributedRobustPtas::solve_local_instances(
                              bool cached_path) {
     BnbSolveOptions opts;
     opts.use_adjacency_rows = cached_path;
-    if (cfg_.use_memoized_covers) {
-      opts.cand_clique_ids =
-          std::span<const int>(gather_cover_ids_)
-              .subspan(gather_offsets_[li],
-                       gather_offsets_[li + 1] - gather_offsets_[li]);
-      opts.clique_id_bound = gather_cover_counts_[li];
-    }
     solve_results_[li] =
         exact_.solve_with_scratch(h_, weights, instance(li), scratch, opts);
   };

@@ -67,7 +67,7 @@ struct DistributedPtasConfig {
   int r = 2;                 ///< Paper's simulations use r = 2.
   int max_mini_rounds = 0;   ///< D; 0 = run until every vertex is marked.
   LocalSolverKind local_solver = LocalSolverKind::kExact;
-  /// Exact-local effort cap per solve. Tuned for the enhanced search
+  /// Exact-local effort cap per solve. Tuned for the B&B search
   /// (reductions + component split + refined bound): the typical local
   /// solve completes exactly well under it, the hard first-mini-round
   /// balls at r >= 3 fall back to the anytime contract (measured < 0.7%
@@ -84,12 +84,6 @@ struct DistributedPtasConfig {
   /// worker threads (cached path, exact solver only). 0 = one worker per
   /// hardware thread, 1 = inline. Deterministic at any setting.
   int local_solve_parallelism = 0;
-  /// Reuse the per-ball clique cover memoized in the NeighborhoodCache
-  /// (rebuilt per solve on the seed path — identical either way). Off by
-  /// default: the weight-free partition is a measurably weaker bound than
-  /// the per-solve weight-descending cover on hard balls (see
-  /// src/mwis/README.md); enable where cover construction dominates.
-  bool use_memoized_covers = false;
   bool collect_stage_times = false;     ///< Accumulate per-stage timings.
   /// Worker threads for the one-time NeighborhoodCache build (count-then-
   /// fill, byte-identical at any setting). 0 = MHCA_CACHE_BUILD_WORKERS or
@@ -134,7 +128,7 @@ struct DistributedPtasResult {
 struct DecisionStageTimes {
   double setup_ms = 0.0;     ///< Status init + SoA election key fill.
   double election_ms = 0.0;  ///< Leader election.
-  double gather_ms = 0.0;    ///< Ball lookup/BFS + candidate + cover gather.
+  double gather_ms = 0.0;    ///< Ball lookup/BFS + candidate gather.
   double solve_ms = 0.0;     ///< Local MWIS solves.
   double apply_ms = 0.0;     ///< Status updates + message accounting.
   double validate_ms = 0.0;  ///< Winner sort + independent-set check.
@@ -218,8 +212,8 @@ class DistributedRobustPtas {
   void elect_by_cache(const std::vector<VertexStatus>& status,
                       std::vector<int>& leaders, bool first_round);
 
-  /// Collect, for every elected leader, the Candidates of its r-ball (and
-  /// their memoized clique ids when enabled) into the flat gather buffers.
+  /// Collect, for every elected leader, the Candidates of its r-ball into
+  /// the flat gather buffers.
   void gather_local_instances(const std::vector<int>& leaders,
                               const std::vector<VertexStatus>& status);
 
@@ -272,13 +266,10 @@ class DistributedRobustPtas {
   std::uint32_t soa_epoch_ = 0;
   std::vector<int> reach_buf_;           ///< on_graph_delta invalidation.
   std::vector<int> gather_cands_;        ///< Per-leader candidates, flat.
-  std::vector<int> gather_cover_ids_;    ///< Aligned clique ids (memo mode).
   std::vector<std::size_t> gather_offsets_;
-  std::vector<int> gather_cover_counts_;
   std::vector<MwisResult> solve_results_;
   std::vector<SolveScratch> worker_scratch_;
   std::vector<int> ball_buf_;            ///< Seed-path BFS ball.
-  std::vector<int> cover_buf_;           ///< Seed-path fresh ball cover.
   DecisionStageTimes stage_times_;
 };
 

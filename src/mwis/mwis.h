@@ -22,7 +22,7 @@ namespace mhca {
 /// net::NetConfig, ChannelAccessConfig and scenario::SolverSpec all
 /// initialize from it, and scenario.cc static_asserts they stay in sync —
 /// the PR-2 drift (facade still at 200'000 while the solver moved to 2'000)
-/// cannot recur. Tuned for the enhanced search; see
+/// cannot recur. Tuned for the B&B search; see
 /// DistributedPtasConfig::bnb_node_cap for the rationale.
 inline constexpr std::int64_t kDefaultBnbNodeCap = 2'000;
 

@@ -3,15 +3,13 @@
 #include <algorithm>
 
 #include "graph/hop.h"
-#include "graph/neighborhood_cache.h"
 #include "util/assert.h"
 
 namespace mhca::net {
 
-VertexAgent::VertexAgent(int id, int r, bool memoize_cover,
-                         MembershipMode mode, LivenessParams liveness)
-    : id_(id), r_(r), memoize_cover_(memoize_cover), mode_(mode),
-      liveness_(liveness) {
+VertexAgent::VertexAgent(int id, int r, MembershipMode mode,
+                         LivenessParams liveness)
+    : id_(id), r_(r), mode_(mode), liveness_(liveness) {
   MHCA_ASSERT(id >= 0, "negative vertex id");
   MHCA_ASSERT(r >= 1, "r must be at least 1");
   if (mode_ == MembershipMode::kViewSync) {
@@ -61,15 +59,11 @@ void VertexAgent::build_structures(NeighborsOf&& neighbors_of) {
 
   // Memoize the r-ball (computed on the *local* subgraph — identical to
   // global r-hop distance because every shortest path of length <= r stays
-  // inside J_{2r+1}(me)) and its weight-free clique cover: both are static
-  // between membership changes, while indices change every round.
+  // inside J_{2r+1}(me)): it is static between membership changes, while
+  // indices change every round.
   BfsScratch scratch(local_graph_.size());
   r_ball_local_ =
       scratch.k_hop_neighborhood(local_graph_, local_id(id_), r_);
-  if (memoize_cover_) {
-    r_ball_cliques_ = NeighborhoodCache::build_ball_cover(
-        local_graph_, r_ball_local_, r_ball_cover_);
-  }
 }
 
 void VertexAgent::finalize_discovery() {
@@ -392,20 +386,16 @@ bool VertexAgent::should_lead() const {
 void VertexAgent::gather_local_candidates() {
   MHCA_ASSERT(status_ == VertexStatus::kCandidate, "non-candidate leading");
   cand_buf_.clear();
-  cand_cover_buf_.clear();
   weight_buf_.assign(static_cast<std::size_t>(local_graph_.size()), 0.0);
-  for (std::size_t i = 0; i < r_ball_local_.size(); ++i) {
-    const int lv = r_ball_local_[i];
+  for (const int lv : r_ball_local_) {
     const int gv = members_[static_cast<std::size_t>(lv)];
     if (gv == id_) {
       cand_buf_.push_back(lv);
-      if (memoize_cover_) cand_cover_buf_.push_back(r_ball_cover_[i]);
       weight_buf_[static_cast<std::size_t>(lv)] = own_index_;
     } else {
       const Entry& e = table_.at(gv);
       if (e.status == VertexStatus::kCandidate) {
         cand_buf_.push_back(lv);
-        if (memoize_cover_) cand_cover_buf_.push_back(r_ball_cover_[i]);
         weight_buf_[static_cast<std::size_t>(lv)] = e.index;
       }
     }
@@ -448,17 +438,10 @@ std::vector<StatusEntry> VertexAgent::lead(MwisSolver& solver) {
 }
 
 std::vector<StatusEntry> VertexAgent::lead(
-    const BranchAndBoundMwisSolver& solver, SolveScratch& scratch,
-    bool use_memoized_cover) {
+    const BranchAndBoundMwisSolver& solver, SolveScratch& scratch) {
   gather_local_candidates();
-  BnbSolveOptions opts;
-  if (use_memoized_cover) {
-    MHCA_ASSERT(memoize_cover_, "agent was built without a memoized cover");
-    opts.cand_clique_ids = cand_cover_buf_;
-    opts.clique_id_bound = r_ball_cliques_;
-  }
-  const MwisResult res = solver.solve_with_scratch(local_graph_, weight_buf_,
-                                                   cand_buf_, scratch, opts);
+  const MwisResult res =
+      solver.solve_with_scratch(local_graph_, weight_buf_, cand_buf_, scratch);
   return verdicts_from(res);
 }
 

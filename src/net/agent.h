@@ -57,9 +57,7 @@ struct AgentCounters {
 
 class VertexAgent {
  public:
-  /// `memoize_cover`: also build this agent's r-ball clique cover at
-  /// discovery (only useful when the runtime leads with memoized covers).
-  VertexAgent(int id, int r, bool memoize_cover = false,
+  VertexAgent(int id, int r,
               MembershipMode mode = MembershipMode::kOmniscient,
               LivenessParams liveness = {});
 
@@ -164,12 +162,9 @@ class VertexAgent {
   /// r hops and produce the verdicts (including the leader's own).
   std::vector<StatusEntry> lead(MwisSolver& solver);
   /// Exact-solver variant wired through the decision-path structures:
-  /// caller-owned SolveScratch (reused across agents by the runtime) and,
-  /// optionally, this agent's memoized r-ball clique cover — the
-  /// distributed analog of the engine's NeighborhoodCache memoization.
+  /// caller-owned SolveScratch, reused across agents by the runtime.
   std::vector<StatusEntry> lead(const BranchAndBoundMwisSolver& solver,
-                                SolveScratch& scratch,
-                                bool use_memoized_cover);
+                                SolveScratch& scratch);
   /// LB: apply a leader's verdicts to self / known members. Under
   /// view-sync a verdict from a round other than the current one (a
   /// delayed wire) is discarded.
@@ -204,7 +199,6 @@ class VertexAgent {
 
   int id_;
   int r_;
-  bool memoize_cover_;
   MembershipMode mode_;
   LivenessParams liveness_;
   VertexStatus status_ = VertexStatus::kCandidate;
@@ -241,14 +235,11 @@ class VertexAgent {
   std::vector<int> members_;
   Graph local_graph_;
   std::unordered_map<int, Entry> table_;
-  // Memoized at discovery: this agent's r-ball (local ids, sorted) and its
-  // weight-free clique cover — static for the lifetime of the network.
+  // Memoized at discovery: this agent's r-ball (local ids, sorted) —
+  // static for the lifetime of the network.
   std::vector<int> r_ball_local_;
-  std::vector<int> r_ball_cover_;
-  int r_ball_cliques_ = 0;
   // lead() working buffers, reused across rounds.
   std::vector<int> cand_buf_;
-  std::vector<int> cand_cover_buf_;
   std::vector<double> weight_buf_;
 
   int local_id(int global) const;
@@ -262,8 +253,8 @@ class VertexAgent {
   /// lists are read through `neighbors_of(member)`.
   template <typename NeighborsOf>
   void build_structures(NeighborsOf&& neighbors_of);
-  /// Fill cand_buf_/cand_cover_buf_/weight_buf_ with the Candidates of the
-  /// memoized r-ball (and their cover ids), in ascending local-id order.
+  /// Fill cand_buf_/weight_buf_ with the Candidates of the memoized r-ball,
+  /// in ascending local-id order.
   void gather_local_candidates();
   std::vector<StatusEntry> verdicts_from(const MwisResult& res);
 };

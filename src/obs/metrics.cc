@@ -16,6 +16,7 @@ int Counter::shard_index() {
 }
 
 void Histogram::observe(double v) {
+  tally_registry_write();
   int b = 0;
   if (v >= 1.0) {
     b = std::min(kBuckets - 1,

@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/tally.h"
+
 // The metrics half of the telemetry spine (src/obs/README.md).
 //
 // A MetricsRegistry holds named counters / gauges / histograms under a
@@ -31,6 +33,7 @@ namespace mhca::obs {
 class Counter {
  public:
   void add(std::int64_t delta) {
+    tally_registry_write();
     shards_[shard_index()].v.fetch_add(delta, std::memory_order_relaxed);
   }
   void inc() { add(1); }
@@ -54,7 +57,10 @@ class Counter {
 /// Last-write-wins double value (exact: atomic store/load, no arithmetic).
 class Gauge {
  public:
-  void set(double v) { v_.store(v, std::memory_order_relaxed); }
+  void set(double v) {
+    tally_registry_write();
+    v_.store(v, std::memory_order_relaxed);
+  }
   double value() const { return v_.load(std::memory_order_relaxed); }
 
  private:

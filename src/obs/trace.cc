@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "obs/json.h"
+#include "obs/tally.h"
 
 namespace mhca::obs {
 
@@ -25,12 +26,14 @@ void set_current_shard(int shard) { t_shard = shard; }
 int current_shard() { return t_shard; }
 
 void TraceRecorder::begin(int tid, const char* name, std::string args_json) {
+  tally_trace_event();
   const double ts = now_us();
   std::lock_guard<std::mutex> lock(mu_);
   events_.push_back({'B', t_shard, tid, ts, name, std::move(args_json)});
 }
 
 void TraceRecorder::end(int tid) {
+  tally_trace_event();
   const double ts = now_us();
   std::lock_guard<std::mutex> lock(mu_);
   events_.push_back({'E', t_shard, tid, ts, nullptr, {}});
@@ -38,6 +41,7 @@ void TraceRecorder::end(int tid) {
 
 void TraceRecorder::instant(int tid, const char* name,
                             std::string args_json) {
+  tally_trace_event();
   const double ts = now_us();
   std::lock_guard<std::mutex> lock(mu_);
   events_.push_back({'i', t_shard, tid, ts, name, std::move(args_json)});

@@ -30,7 +30,6 @@ net::NetConfig to_net_config(const Scenario& s, int num_nodes) {
   cfg.policy_params = builtin_policy_params(s.policy.params, num_nodes);
   cfg.local_solver = s.solver.local_solver;
   cfg.bnb_node_cap = s.solver.node_cap;
-  cfg.use_memoized_covers = s.solver.memoized_covers;
   cfg.drop_prob = s.net.drop_prob;
   cfg.drop_seed = s.net.drop_seed;
   cfg.dup_prob = s.net.dup_prob;
@@ -57,7 +56,6 @@ ChannelAccessConfig to_channel_access_config(const Scenario& s,
   cfg.bnb_node_cap = s.solver.node_cap;
   cfg.ptas_epsilon = s.solver.epsilon;
   cfg.local_solve_parallelism = s.solver.parallelism;
-  cfg.use_memoized_covers = s.solver.memoized_covers;
   cfg.timing = s.timing;
   cfg.update_period = s.run.update_period;
   cfg.seed = s.run.seed;

@@ -33,12 +33,6 @@ static_assert(SolverSpec{}.parallelism ==
                   SimulationConfig{}.local_solve_parallelism &&
               SolverSpec{}.parallelism ==
                   ChannelAccessConfig{}.local_solve_parallelism);
-static_assert(SolverSpec{}.memoized_covers ==
-                  SimulationConfig{}.use_memoized_covers &&
-              SolverSpec{}.memoized_covers ==
-                  net::NetConfig{}.use_memoized_covers &&
-              SolverSpec{}.memoized_covers ==
-                  ChannelAccessConfig{}.use_memoized_covers);
 static_assert(NetSpec{}.drop_prob == net::NetConfig{}.drop_prob &&
               NetSpec{}.drop_seed == net::NetConfig{}.drop_seed);
 static_assert(NetSpec{}.dup_prob == net::NetConfig{}.dup_prob &&
@@ -103,10 +97,6 @@ const std::vector<FieldDef>& solver_fields() {
       {"parallelism",
        [](Scenario& s, const std::string& v, const std::string& w) {
          s.solver.parallelism = int32_field(v, w);
-       }},
-      {"memoized_covers",
-       [](Scenario& s, const std::string& v, const std::string& w) {
-         s.solver.memoized_covers = parse_bool_value(v, w);
        }},
       {"epsilon", [](Scenario& s, const std::string& v, const std::string& w) {
          s.solver.epsilon = parse_double_value(v, w);
@@ -419,8 +409,6 @@ std::string serialize_scenario(const Scenario& s) {
      << "local_solver = " << local_solver_key(s.solver.local_solver) << "\n"
      << "node_cap = " << s.solver.node_cap << "\n"
      << "parallelism = " << s.solver.parallelism << "\n"
-     << "memoized_covers = " << (s.solver.memoized_covers ? "true" : "false")
-     << "\n"
      << "epsilon = " << format_double(s.solver.epsilon) << "\n";
   os << "\n[run]\n"
      << "slots = " << s.run.slots << "\n"
@@ -587,7 +575,6 @@ DistributedPtasConfig SolverSpec::engine_config(bool count_messages) const {
   cfg.bnb_node_cap = node_cap;
   cfg.count_messages = count_messages;
   cfg.local_solve_parallelism = parallelism;
-  cfg.use_memoized_covers = memoized_covers;
   return cfg;
 }
 
@@ -601,7 +588,6 @@ SimulationConfig to_simulation_config(const Scenario& s) {
   cfg.local_solver = s.solver.local_solver;
   cfg.bnb_node_cap = s.solver.node_cap;
   cfg.local_solve_parallelism = s.solver.parallelism;
-  cfg.use_memoized_covers = s.solver.memoized_covers;
   cfg.ptas_epsilon = s.solver.epsilon;
   cfg.timing = s.timing;
   cfg.seed = s.run.seed;

@@ -36,8 +36,6 @@ struct SimulationConfig {
   /// (ReplicationConfig.parallelism), and nesting both oversubscribes;
   /// raise it for single-simulation runs on idle cores.
   int local_solve_parallelism = 1;
-  /// Reuse memoized per-ball clique covers (see src/mwis/README.md).
-  bool use_memoized_covers = false;
   double ptas_epsilon = 1.0;  ///< ε for the centralized robust PTAS.
 
   RoundTiming timing;

@@ -57,7 +57,6 @@ SimulationResult Simulator::run() {
       dcfg.bnb_node_cap = cfg_.bnb_node_cap;
       dcfg.count_messages = cfg_.count_messages;
       dcfg.local_solve_parallelism = cfg_.local_solve_parallelism;
-      dcfg.use_memoized_covers = cfg_.use_memoized_covers;
       engine = std::make_unique<DistributedRobustPtas>(h, dcfg);
       break;
     }

@@ -167,7 +167,7 @@ TEST(SolveScratch, ReusedScratchMatchesFreshAllocation) {
   const Graph& h = ecg.graph();
   ASSERT_TRUE(h.has_adjacency_matrix());
 
-  BranchAndBoundMwisSolver solver(200'000, /*reuse_scratch=*/true);
+  BranchAndBoundMwisSolver solver(200'000);
   NeighborhoodCache cache(h, 2);
 
   // A series of solves over different candidate sets: the reused scratch
@@ -184,32 +184,6 @@ TEST(SolveScratch, ReusedScratchMatchesFreshAllocation) {
     EXPECT_DOUBLE_EQ(a.weight, b.weight);
     EXPECT_EQ(a.exact, b.exact);
     EXPECT_EQ(a.nodes_explored, b.nodes_explored);
-  }
-}
-
-TEST(SolveScratch, EnhancedAndClassicAgreeOnExactInstances) {
-  // The enhanced search (reductions + components + refined bound) and the
-  // classic seed search are both exact when they complete: same optimal set
-  // on unique-optimum instances, weight equal up to summation order.
-  Rng rng(13);
-  ConflictGraph cg = random_geometric_avg_degree(30, 6.0, rng);
-  ExtendedConflictGraph ecg(cg, 4);
-  const Graph& h = ecg.graph();
-
-  BranchAndBoundMwisSolver enhanced(5'000'000, /*reuse_scratch=*/true);
-  BranchAndBoundMwisSolver classic(5'000'000, /*reuse_scratch=*/false);
-  NeighborhoodCache cache(h, 2);
-  for (int leader = 0; leader < h.size(); leader += 7) {
-    const auto ball = cache.r_ball(leader);
-    const auto w = random_weights(h.size(), rng);
-    const MwisResult a = enhanced.solve(h, w, ball);
-    const MwisResult b = classic.solve(h, w, ball);
-    ASSERT_TRUE(a.exact);
-    ASSERT_TRUE(b.exact);
-    ASSERT_EQ(a.vertices, b.vertices);
-    EXPECT_NEAR(a.weight, b.weight, 1e-9);
-    // The enhanced tree must never be larger than the classic one here.
-    EXPECT_LE(a.nodes_explored, b.nodes_explored);
   }
 }
 
@@ -249,7 +223,7 @@ TEST(SolveScratch, NodeCapAbortPathWithReusedScratch) {
   std::vector<int> all(static_cast<std::size_t>(h.size()));
   for (int v = 0; v < h.size(); ++v) all[static_cast<std::size_t>(v)] = v;
 
-  BranchAndBoundMwisSolver capped(50, /*reuse_scratch=*/true);
+  BranchAndBoundMwisSolver capped(50);
   const MwisResult first = capped.solve(h, w, all);
   EXPECT_FALSE(first.exact);
   EXPECT_TRUE(h.is_independent_set(first.vertices));
@@ -265,7 +239,7 @@ TEST(SolveScratch, NodeCapAbortPathWithReusedScratch) {
 
   // And an uncapped solve on the *same scratch object* still finds at least
   // as much weight, exactly.
-  BranchAndBoundMwisSolver uncapped(5'000'000, /*reuse_scratch=*/true);
+  BranchAndBoundMwisSolver uncapped(5'000'000);
   SolveScratch scratch;
   const MwisResult aborted =
       BranchAndBoundMwisSolver(50).solve_with_scratch(h, w, all, scratch);

@@ -1,5 +1,5 @@
-// Differential-testing harness for the branch-and-bound MWIS solver: every
-// search mode must agree with exhaustive enumeration on hundreds of seeded
+// Differential-testing harness for the branch-and-bound MWIS solver: the
+// search must agree with exhaustive enumeration on hundreds of seeded
 // random instances. This is the exactness proof backing the distributed
 // PTAS's robustness argument (the paper's guarantees assume the local
 // oracle is exact whenever it reports exact = true).
@@ -7,9 +7,10 @@
 // Sweeps: graph density (Erdős–Rényi p in [0, 0.9] plus extended conflict
 // graphs with per-master clique structure), weight distributions (uniform,
 // exponential, heavy ties, mixed-sign), and candidate-subset shapes (full
-// vertex set, random subsets, BFS balls, singletons). Modes: reuse_scratch
-// on/off, enhanced search with and without reductions, and the memoized
-// clique cover path.
+// vertex set, random subsets, BFS balls, singletons). Modes: the default
+// solve over the solver's own scratch, the search without reductions (the
+// bound stack on unreduced instances), and the list-scan adjacency build
+// over a fresh scratch.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -122,10 +123,8 @@ void check_result(const Instance& inst, const MwisResult& got,
 TEST(MwisDifferential, AllModesMatchBruteForceOn600Instances) {
   Rng rng(20260728);
   BruteForceMwisSolver brute(24);
-  BranchAndBoundMwisSolver reusing(5'000'000, /*reuse_scratch=*/true);
-  BranchAndBoundMwisSolver fresh(5'000'000, /*reuse_scratch=*/false);
+  BranchAndBoundMwisSolver solver(5'000'000);
   SolveScratch scratch;
-  std::vector<int> cover_ids;
 
   int solves = 0;
   for (int trial = 0; trial < 600; ++trial) {
@@ -134,52 +133,29 @@ TEST(MwisDifferential, AllModesMatchBruteForceOn600Instances) {
     const MwisResult ref =
         brute.solve(inst.graph, inst.weights, inst.candidates);
 
-    // The classic search is the frozen seed algorithm; like the seed greedy
-    // it assumes the paper's positive index weights (it will happily keep a
-    // negative-weight greedy seed), so the mixed-sign family exercises the
-    // enhanced modes only.
-    const bool classic_applicable = trial % 4 != 3;
-
-    // Mode 1: reuse_scratch solver (enhanced search, internal scratch).
+    // Mode 1: default options over the solver's internal scratch.
     check_result(inst,
-                 reusing.solve(inst.graph, inst.weights, inst.candidates),
-                 ref, "reuse");
-    // Mode 2: fresh-allocation solver (classic seed search).
-    if (classic_applicable)
-      check_result(inst,
-                   fresh.solve(inst.graph, inst.weights, inst.candidates),
-                   ref, "fresh-classic");
-    // Mode 3: enhanced without reductions.
+                 solver.solve(inst.graph, inst.weights, inst.candidates),
+                 ref, "default");
+    // Mode 2: no reductions, over a shared scratch.
     BnbSolveOptions no_red;
     no_red.use_reductions = false;
     check_result(inst,
-                 reusing.solve_with_scratch(inst.graph, inst.weights,
-                                            inst.candidates, scratch, no_red),
-                 ref, "enhanced-no-reductions");
-    // Mode 4: enhanced + reductions + memoized clique cover (ids built the
-    // same way NeighborhoodCache memoizes them).
-    BnbSolveOptions memo;
-    memo.clique_id_bound = NeighborhoodCache::build_ball_cover(
-        inst.graph, inst.candidates, cover_ids);
-    memo.cand_clique_ids = cover_ids;
+                 solver.solve_with_scratch(inst.graph, inst.weights,
+                                           inst.candidates, scratch, no_red),
+                 ref, "no-reductions");
+    // Mode 3: list-scan adjacency build over freshly allocated scratch.
+    SolveScratch fresh;
+    BnbSolveOptions list_build;
+    list_build.use_adjacency_rows = false;
     check_result(inst,
-                 reusing.solve_with_scratch(inst.graph, inst.weights,
-                                            inst.candidates, scratch, memo),
-                 ref, "enhanced-memo-cover");
-    // Mode 5: classic search through explicit options + shared scratch.
-    if (classic_applicable) {
-      BnbSolveOptions classic;
-      classic.enhanced = false;
-      check_result(inst,
-                   reusing.solve_with_scratch(inst.graph, inst.weights,
-                                              inst.candidates, scratch,
-                                              classic),
-                   ref, "classic-scratch");
-    }
-    solves += classic_applicable ? 5 : 3;
+                 solver.solve_with_scratch(inst.graph, inst.weights,
+                                           inst.candidates, fresh, list_build),
+                 ref, "list-build-fresh");
+    solves += 3;
   }
-  // ≥500 instances × 5 modes actually ran (a few singleton draws may skip).
-  EXPECT_GE(solves, 2500);
+  // ≥500 instances × 3 modes actually ran (a few empty draws may skip).
+  EXPECT_GE(solves, 1500);
 }
 
 TEST(MwisDifferential, SparseRowGatherMatchesBruteForceBeyondMatrixLimit) {
@@ -251,8 +227,10 @@ TEST(MwisDifferential, TieWeightsExactDyadicEquality) {
   // optimum degeneracy.
   Rng rng(99);
   BruteForceMwisSolver brute(24);
-  BranchAndBoundMwisSolver reusing;
-  BranchAndBoundMwisSolver fresh(5'000'000, /*reuse_scratch=*/false);
+  BranchAndBoundMwisSolver solver;
+  SolveScratch scratch;
+  BnbSolveOptions no_red;
+  no_red.use_reductions = false;
   for (int trial = 0; trial < 100; ++trial) {
     const int n = 4 + trial % 10;
     Graph g(n);
@@ -265,8 +243,9 @@ TEST(MwisDifferential, TieWeightsExactDyadicEquality) {
     std::vector<int> all(static_cast<std::size_t>(n));
     for (int v = 0; v < n; ++v) all[static_cast<std::size_t>(v)] = v;
     const double ref = brute.solve(g, w, all).weight;
-    EXPECT_EQ(reusing.solve(g, w, all).weight, ref);
-    EXPECT_EQ(fresh.solve(g, w, all).weight, ref);
+    EXPECT_EQ(solver.solve(g, w, all).weight, ref);
+    EXPECT_EQ(solver.solve_with_scratch(g, w, all, scratch, no_red).weight,
+              ref);
   }
 }
 
@@ -283,7 +262,7 @@ TEST(MwisDifferential, AnytimeContractUnderNodeCap) {
   std::vector<int> all(static_cast<std::size_t>(h.size()));
   for (int v = 0; v < h.size(); ++v) all[static_cast<std::size_t>(v)] = v;
 
-  BranchAndBoundMwisSolver capped(60, /*reuse_scratch=*/true);
+  BranchAndBoundMwisSolver capped(60);
   const MwisResult aborted = capped.solve(h, w, all);
   ASSERT_FALSE(aborted.exact);
   EXPECT_TRUE(h.is_independent_set(aborted.vertices));

@@ -72,10 +72,6 @@ TEST(NoBitsetFallback, SolverMatchesBruteForceBeyondMatrixLimit) {
       solver.solve_with_scratch(big, w_big, cands, scratch, list_build);
   EXPECT_EQ(got_lists.vertices, got.vertices);
   EXPECT_EQ(got_lists.nodes_explored, got.nodes_explored);
-  // And the classic mode takes the list fallback.
-  BranchAndBoundMwisSolver classic(5'000'000, /*reuse_scratch=*/false);
-  const MwisResult got_classic = classic.solve(big, w_big, cands);
-  EXPECT_EQ(got_classic.vertices, ref.vertices);
 }
 
 TEST(NoBitsetFallback, SparseRowsMatchReferenceQueries) {
@@ -158,8 +154,8 @@ TEST(NoBitsetFallback, NeighborhoodCacheMatchesOnUnfinalizedAndHugeGraphs) {
       if (u > v) raw.add_edge(v, u);
   ASSERT_FALSE(raw.finalized());
 
-  NeighborhoodCache cache_fin(fin, 2, /*build_covers=*/true);
-  NeighborhoodCache cache_raw(raw, 2, /*build_covers=*/true);
+  NeighborhoodCache cache_fin(fin, 2);
+  NeighborhoodCache cache_raw(raw, 2);
   for (int v = 0; v < fin.size(); ++v) {
     const auto a = cache_fin.r_ball(v);
     const auto b = cache_raw.r_ball(v);
@@ -167,12 +163,6 @@ TEST(NoBitsetFallback, NeighborhoodCacheMatchesOnUnfinalizedAndHugeGraphs) {
     const auto ea = cache_fin.election_ball(v);
     const auto eb = cache_raw.election_ball(v);
     ASSERT_TRUE(std::equal(ea.begin(), ea.end(), eb.begin(), eb.end()));
-    // Covers come out identical too: build_ball_cover only uses has_edge.
-    const auto ca = cache_fin.r_ball_cover(v);
-    const auto cb = cache_raw.r_ball_cover(v);
-    ASSERT_TRUE(std::equal(ca.begin(), ca.end(), cb.begin(), cb.end()));
-    EXPECT_EQ(cache_fin.r_ball_clique_count(v),
-              cache_raw.r_ball_clique_count(v));
   }
 
   // Beyond the matrix limit: balls still match a reference BFS.

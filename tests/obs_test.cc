@@ -15,14 +15,19 @@
 #include <utility>
 #include <vector>
 
+#include "graph/extended_graph.h"
+#include "graph/generators.h"
+#include "mwis/distributed_ptas.h"
 #include "net/transport.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/publish.h"
+#include "obs/tally.h"
 #include "obs/trace.h"
 #include "obs/validate.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
+#include "util/rng.h"
 
 namespace mhca {
 namespace {
@@ -33,12 +38,13 @@ using obs::TraceRecorder;
 using scenario::Scenario;
 using scenario::ScenarioRunner;
 
-/// Re-installs a null recorder/registry on scope exit, whatever the test
-/// did — no test may leak observability into its neighbors.
+/// Re-installs a null recorder/registry/tally on scope exit, whatever the
+/// test did — no test may leak observability into its neighbors.
 struct ObsGuard {
   ~ObsGuard() {
     obs::set_trace(nullptr);
     obs::set_metrics(nullptr);
+    obs::set_write_tally(nullptr);
   }
 };
 
@@ -313,6 +319,58 @@ TEST(ObsContract, LockstepDecisionsIdenticalWithTracingOn) {
   EXPECT_EQ(off.total_expected, on.total_expected);
   EXPECT_GT(rec.event_count(), 0u) << "the engine must have emitted spans";
   EXPECT_TRUE(obs::validate_chrome_trace(rec.to_json()).empty());
+}
+
+TEST(ObsContract, DisabledDecisionRecordsNoTraceEventsOrRegistryWrites) {
+  // The deterministic companion of bench_decision_path's timed tripwire:
+  // with no recorder or registry installed, decisions on the cached and the
+  // seed path — and a whole lockstep simulation — record no trace event
+  // and write no registry value anywhere in the process.
+  ObsGuard guard;
+  obs::WriteTally tally;
+  obs::set_write_tally(&tally);
+
+  // The tally sees every write site: three registry writes, and exactly
+  // the events a traced decision records.
+  MetricsRegistry reg;
+  reg.counter("k.c").add(2);
+  reg.gauge("k.g").set(1.0);
+  reg.histogram("k.h").observe(3.0);
+  EXPECT_EQ(tally.registry_writes.load(), 3);
+
+  Rng rng(17);
+  ConflictGraph cg = random_geometric_avg_degree(40, 6.0, rng);
+  ExtendedConflictGraph ecg(cg, 3);
+  const Graph& h = ecg.graph();
+  DistributedPtasConfig cached_cfg;
+  cached_cfg.count_messages = true;
+  cached_cfg.collect_stage_times = true;
+  DistributedPtasConfig seed_cfg = cached_cfg;
+  seed_cfg.use_decision_cache = false;
+  DistributedRobustPtas cached(h, cached_cfg);
+  DistributedRobustPtas seed(h, seed_cfg);
+  std::vector<double> w(static_cast<std::size_t>(h.size()));
+  for (auto& x : w) x = rng.uniform(0.05, 1.0);
+
+  TraceRecorder rec;
+  obs::set_trace(&rec);
+  (void)cached.run(w);
+  obs::set_trace(nullptr);
+  ASSERT_GT(rec.event_count(), 0u);
+  EXPECT_EQ(tally.trace_events.load(),
+            static_cast<std::int64_t>(rec.event_count()));
+
+  tally.trace_events = 0;
+  tally.registry_writes = 0;
+  for (int d = 0; d < 3; ++d) {
+    for (auto& x : w) x = rng.uniform(0.05, 1.0);
+    (void)cached.run(w);
+    (void)seed.run(w);
+  }
+  const Scenario s = scenario::parse_scenario(kNetScenario);
+  (void)ScenarioRunner(s).run();
+  EXPECT_EQ(tally.trace_events.load(), 0);
+  EXPECT_EQ(tally.registry_writes.load(), 0);
 }
 
 TEST(ObsContract, NetRunHashesIdenticalWithObservabilityOn) {

@@ -69,7 +69,6 @@ D = 6
 local_solver = greedy
 node_cap = 1234
 parallelism = 2
-memoized_covers = true
 epsilon = 0.5
 
 [run]
@@ -121,7 +120,6 @@ TEST(ScenarioFormat, ParseReadsEveryField) {
   EXPECT_EQ(s.solver.local_solver, LocalSolverKind::kGreedy);
   EXPECT_EQ(s.solver.node_cap, 1234);
   EXPECT_EQ(s.solver.parallelism, 2);
-  EXPECT_TRUE(s.solver.memoized_covers);
   EXPECT_DOUBLE_EQ(s.solver.epsilon, 0.5);
   EXPECT_EQ(s.run.slots, 150);
   EXPECT_EQ(s.run.update_period, 5);
@@ -195,6 +193,23 @@ TEST(ScenarioErrors, UnknownFixedSectionKeyListsValidKeys) {
   EXPECT_TRUE(message_contains(msg, "rr"));
   EXPECT_TRUE(message_contains(msg, "node_cap"));
   EXPECT_TRUE(message_contains(msg, "line 2"));
+
+  // A removed key is rejected like any unknown one, from a file and from an
+  // override, and the message lists exactly the keys [solver] accepts.
+  const std::string valid_solver_keys =
+      "valid keys: kind, r, D, local_solver, node_cap, parallelism, epsilon";
+  const std::string from_file = error_message([] {
+    scenario::parse_scenario("[solver]\nmemoized_covers = true\n");
+  });
+  EXPECT_TRUE(message_contains(from_file, "unknown key 'memoized_covers'"));
+  EXPECT_TRUE(message_contains(from_file, valid_solver_keys));
+  Scenario s;
+  const std::string from_override = error_message([&] {
+    scenario::apply_override(s, "solver.memoized_covers=true");
+  });
+  EXPECT_TRUE(
+      message_contains(from_override, "unknown key 'memoized_covers'"));
+  EXPECT_TRUE(message_contains(from_override, valid_solver_keys));
 }
 
 TEST(ScenarioErrors, UnknownSectionListsValidSections) {
@@ -304,14 +319,12 @@ TEST(SolverSpec, EngineConfigMapsEveryKnob) {
   spec.local_solver = LocalSolverKind::kGreedy;
   spec.node_cap = 555;
   spec.parallelism = 4;
-  spec.memoized_covers = true;
   const DistributedPtasConfig cfg = spec.engine_config(/*count_messages=*/true);
   EXPECT_EQ(cfg.r, 3);
   EXPECT_EQ(cfg.max_mini_rounds, 7);
   EXPECT_EQ(cfg.local_solver, LocalSolverKind::kGreedy);
   EXPECT_EQ(cfg.bnb_node_cap, 555);
   EXPECT_EQ(cfg.local_solve_parallelism, 4);
-  EXPECT_TRUE(cfg.use_memoized_covers);
   EXPECT_TRUE(cfg.count_messages);
 }
 
