@@ -1,7 +1,9 @@
 #include "graph/generators.h"
 
 #include <cmath>
+#include <cstdio>
 #include <numbers>
+#include <string>
 
 #include "util/assert.h"
 
@@ -19,8 +21,22 @@ ConflictGraph random_geometric(int n, double side, double radius, Rng& rng,
     ConflictGraph cg = ConflictGraph::from_positions(std::move(pts), radius);
     if (!force_connected || cg.graph().is_connected()) return cg;
   }
-  MHCA_ASSERT(false, "failed to sample a connected random geometric graph; "
-                     "increase radius or node count");
+  // Large sparse disk graphs are almost never connected: more attempts
+  // rarely help, accepting several components does.
+  const double avg_degree = static_cast<double>(n - 1) * std::numbers::pi *
+                            radius * radius / (side * side);
+  char detail[160];
+  std::snprintf(detail, sizeof(detail),
+                "in %d attempts: n = %d, radius = %.4g, side = %.4g, "
+                "expected average degree %.3g",
+                max_attempts, n, radius, side, avg_degree);
+  MHCA_ASSERT(false,
+              std::string("failed to sample a connected random geometric "
+                          "graph ") +
+                  detail +
+                  "; set topology.force_connected=false to accept a "
+                  "disconnected graph (the usual fix for large sparse "
+                  "networks), or raise topology.avg_degree (or radius)");
 }
 
 ConflictGraph random_geometric_avg_degree(int n, double avg_degree, Rng& rng,

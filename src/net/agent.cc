@@ -1,11 +1,55 @@
 #include "net/agent.h"
 
 #include <algorithm>
+#include <limits>
+#include <utility>
 
 #include "graph/hop.h"
 #include "util/assert.h"
 
 namespace mhca::net {
+
+namespace {
+
+/// First element whose id is >= `id` in a vector sorted by id.
+template <typename Sorted>
+auto lower_bound_id(Sorted& v, int id) {
+  return std::lower_bound(v.begin(), v.end(), id,
+                          [](const auto& a, int x) { return a.id < x; });
+}
+
+/// Looks ids up in a sorted vector, each search galloping forward from where
+/// the previous one ended; an id below its predecessor restarts from the
+/// front. A list made of a few ascending runs thus costs about one short
+/// search per element.
+class SortedCursor {
+ public:
+  explicit SortedCursor(const std::vector<int>& sorted) : v_(sorted) {}
+
+  /// Position of `id` in the vector, or -1.
+  int find(int id) {
+    if (id < prev_) pos_ = 0;
+    prev_ = id;
+    const int* const v = v_.data();
+    const std::size_t n = v_.size();
+    std::size_t lo = pos_, hi = pos_, step = 1;
+    while (hi < n && v[hi] < id) {  // everything before lo is < id
+      lo = hi + 1;
+      hi = lo + step;
+      step *= 2;
+    }
+    pos_ = static_cast<std::size_t>(
+        std::lower_bound(v + lo, v + std::min(hi, n), id) - v);
+    return pos_ < n && v[pos_] == id ? static_cast<int>(pos_) : -1;
+  }
+
+ private:
+  const std::vector<int>& v_;
+  std::size_t pos_ = 0;
+  int prev_ = std::numeric_limits<int>::min();
+};
+
+}  // namespace
 
 VertexAgent::VertexAgent(int id, int r, MembershipMode mode,
                          LivenessParams liveness)
@@ -29,13 +73,21 @@ void VertexAgent::on_hello(const Message& msg) {
               "on_hello is the omniscient-discovery path; view-sync hellos "
               "go through on_membership_message");
   MHCA_ASSERT(!discovered_, "hello after discovery finalized");
-  hello_lists_[msg.origin] = Hello{msg.neighbor_list, msg.mean, msg.count};
+  if (msg.origin == id_) return;
+  Advert hello{msg.origin, msg.neighbor_list, msg.mean, msg.count};
+  // Floods arrive in ascending origin order, so this is an append; a
+  // duplicated delivery overwrites the earlier copy.
+  const auto it = lower_bound_id(hellos_, msg.origin);
+  if (it != hellos_.end() && it->id == msg.origin)
+    *it = std::move(hello);
+  else
+    hellos_.insert(it, std::move(hello));
 }
 
 void VertexAgent::reset_discovery() {
   MHCA_ASSERT(discovered_, "reset_discovery before initial discovery");
   discovered_ = false;
-  hello_lists_.clear();
+  hellos_.clear();
   own_neighbors_.clear();
 }
 
@@ -43,18 +95,56 @@ void VertexAgent::set_own_neighbors(std::vector<int> neighbors) {
   own_neighbors_ = std::move(neighbors);
 }
 
-template <typename NeighborsOf>
-void VertexAgent::build_structures(NeighborsOf&& neighbors_of) {
-  local_graph_ = Graph(static_cast<int>(members_.size()));
-  auto add_edges_of = [&](int origin, const std::vector<int>& nbs) {
-    const int lo = local_id(origin);
-    for (int u : nbs) {
-      const auto it = std::lower_bound(members_.begin(), members_.end(), u);
-      if (it != members_.end() && *it == u)
-        local_graph_.add_edge(lo, static_cast<int>(it - members_.begin()));
+template <typename Adverts>
+void VertexAgent::install_view(const Adverts& adverts) {
+  const std::size_t n = adverts.size() + 1;
+  members_.clear();
+  members_.reserve(n);
+  self_local_ = -1;
+  for (const Advert& a : adverts) {
+    if (self_local_ < 0 && id_ < a.id) {
+      self_local_ = static_cast<int>(members_.size());
+      members_.push_back(id_);
     }
+    members_.push_back(a.id);
+  }
+  if (self_local_ < 0) {
+    self_local_ = static_cast<int>(members_.size());
+    members_.push_back(id_);
+  }
+  const auto self = static_cast<std::size_t>(self_local_);
+  const auto advert_of = [&](std::size_t i) -> const Advert& {
+    return adverts[i < self ? i : i - 1];
   };
-  for (int m : members_) add_edges_of(m, neighbors_of(m));
+
+  // Seed the table from the adverts' carried statistics: zeros at initial
+  // discovery (nothing learned yet), the sender's live (µ̃, m) when a
+  // topology change brought it into this agent's horizon mid-run.
+  table_.mean.assign(n, 0.0);
+  table_.count.assign(n, 0);
+  table_.index.assign(n, 0.0);
+  table_.status.assign(n, VertexStatus::kCandidate);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i == self) continue;
+    table_.mean[i] = advert_of(i).mean;
+    table_.count[i] = advert_of(i).count;
+  }
+
+  // Merge each member's sorted neighbor list with members_. Each edge is
+  // added once, from its lower endpoint; the higher endpoint only checks
+  // for an edge that a stale view-sync adjacency lists on its side alone.
+  local_graph_ = Graph(static_cast<int>(n));
+  for (std::size_t i = 0; i < n; ++i) {
+    const int li = static_cast<int>(i);
+    SortedCursor cursor(members_);
+    for (int u : i == self ? own_neighbors_ : advert_of(i).neighbors) {
+      const int lu = cursor.find(u);
+      if (lu > li)
+        local_graph_.add_edge(li, lu);
+      else if (lu >= 0 && !local_graph_.has_edge(lu, li))
+        local_graph_.add_edge(lu, li);
+    }
+  }
   local_graph_.finalize();
 
   // Memoize the r-ball (computed on the *local* subgraph — identical to
@@ -62,8 +152,7 @@ void VertexAgent::build_structures(NeighborsOf&& neighbors_of) {
   // inside J_{2r+1}(me)): it is static between membership changes, while
   // indices change every round.
   BfsScratch scratch(local_graph_.size());
-  r_ball_local_ =
-      scratch.k_hop_neighborhood(local_graph_, local_id(id_), r_);
+  r_ball_local_ = scratch.k_hop_neighborhood(local_graph_, self_local_, r_);
 }
 
 void VertexAgent::finalize_discovery() {
@@ -71,71 +160,30 @@ void VertexAgent::finalize_discovery() {
   if (mode_ == MembershipMode::kViewSync) {
     // Initial discovery filled knowledge_ silently (no view bumps while the
     // whole network introduces itself at once); one rebuild closes it.
-    rebuild_local_view();
+    install_view(knowledge_);
     needs_rebuild_ = false;
     membership_changed_ = false;
     discovered_ = true;
     return;
   }
-  members_.clear();
-  members_.push_back(id_);
-  for (const auto& [origin, _] : hello_lists_) members_.push_back(origin);
-  std::sort(members_.begin(), members_.end());
-  members_.erase(std::unique(members_.begin(), members_.end()),
-                 members_.end());
-
-  build_structures([&](int m) -> const std::vector<int>& {
-    return m == id_ ? own_neighbors_ : hello_lists_.at(m).neighbors;
-  });
-
-  table_.clear();
-  for (int m : members_) {
-    if (m == id_) continue;
-    // Seed the entry from the hello's carried statistics: zeros at initial
-    // discovery (nothing learned yet), the sender's live (µ̃, m) when a
-    // topology change brought it into this agent's horizon mid-run.
-    const Hello& hello = hello_lists_.at(m);
-    Entry e;
-    e.mean = hello.mean;
-    e.count = hello.count;
-    table_.emplace(m, e);
-  }
-  hello_lists_.clear();
+  install_view(hellos_);
+  hellos_ = std::vector<Advert>();  // frees the capacity: O(m) from here on
   discovered_ = true;
 }
 
-void VertexAgent::rebuild_local_view() {
-  members_.clear();
-  members_.reserve(knowledge_.size() + 1);
-  // knowledge_ is ordered by id; splice self into the sorted run.
-  bool self_placed = false;
-  for (const auto& [m, _] : knowledge_) {
-    if (!self_placed && id_ < m) {
-      members_.push_back(id_);
-      self_placed = true;
-    }
-    members_.push_back(m);
-  }
-  if (!self_placed) members_.push_back(id_);
-
-  build_structures([&](int m) -> const std::vector<int>& {
-    return m == id_ ? own_neighbors_ : knowledge_.at(m).neighbors;
-  });
-
-  table_.clear();
-  for (const auto& [m, k] : knowledge_) {
-    Entry e;
-    e.mean = k.mean;
-    e.count = k.count;
-    table_.emplace(m, e);
-  }
+int VertexAgent::find_local(int global) const {
+  const auto it = std::lower_bound(members_.begin(), members_.end(), global);
+  if (it == members_.end() || *it != global) return -1;
+  return static_cast<int>(it - members_.begin());
 }
 
-int VertexAgent::local_id(int global) const {
-  const auto it = std::lower_bound(members_.begin(), members_.end(), global);
-  MHCA_ASSERT(it != members_.end() && *it == global,
-              "vertex not in local table");
-  return static_cast<int>(it - members_.begin());
+const VertexAgent::MemberKnowledge* VertexAgent::find_knowledge(int v) const {
+  const auto it = lower_bound_id(knowledge_, v);
+  return it != knowledge_.end() && it->id == v ? &*it : nullptr;
+}
+
+VertexAgent::MemberKnowledge* VertexAgent::find_knowledge(int v) {
+  return const_cast<MemberKnowledge*>(std::as_const(*this).find_knowledge(v));
 }
 
 // ---------------------------------------------- view-synchronous membership
@@ -167,15 +215,16 @@ void VertexAgent::on_membership_message(const Message& msg,
   maybe_adopt(msg.view);
   if (msg.probe_target == id_ || msg.solicit) hello_pending_ = true;
 
-  const auto it = knowledge_.find(msg.origin);
-  if (it == knowledge_.end()) {
+  const auto it = lower_bound_id(knowledge_, msg.origin);
+  if (it == knowledge_.end() || it->id != msg.origin) {
     MemberKnowledge k;
+    k.id = msg.origin;
     k.neighbors = msg.neighbor_list;
     k.mean = msg.mean;
     k.count = msg.count;
     k.last_heard = msg.round;
     k.last_hello_round = msg.round;
-    knowledge_.emplace(msg.origin, std::move(k));
+    knowledge_.insert(it, std::move(k));
     if (discovered_) {
       // Admission: a node entered this agent's horizon mid-run.
       needs_rebuild_ = true;
@@ -184,7 +233,7 @@ void VertexAgent::on_membership_message(const Message& msg,
     return;
   }
 
-  MemberKnowledge& k = it->second;
+  MemberKnowledge& k = *it;
   k.last_heard = std::max(k.last_heard, msg.round);
   if (k.suspect && now - k.last_heard <= liveness_.hello_timeout_slots) {
     k.suspect = false;
@@ -197,10 +246,11 @@ void VertexAgent::on_membership_message(const Message& msg,
   if (msg.count >= k.count) {
     k.count = msg.count;
     k.mean = msg.mean;
-    const auto t = table_.find(msg.origin);
-    if (t != table_.end()) {
-      t->second.mean = msg.mean;
-      t->second.count = msg.count;
+    // A member admitted since the last rebuild has no table slot yet.
+    const int i = find_local(msg.origin);
+    if (i >= 0) {
+      table_.mean[static_cast<std::size_t>(i)] = msg.mean;
+      table_.count[static_cast<std::size_t>(i)] = msg.count;
     }
   }
   // Adjacency is round-monotonic: accept only payloads at least as new as
@@ -219,7 +269,7 @@ std::vector<int> VertexAgent::liveness_pass(std::int64_t now) {
               "liveness_pass requires view-sync mode");
   std::vector<int> probes;
   std::vector<int> evict;
-  for (auto& [m, k] : knowledge_) {
+  for (MemberKnowledge& k : knowledge_) {
     if (now - k.last_heard <= liveness_.hello_timeout_slots) {
       if (k.suspect) {
         k.suspect = false;
@@ -237,27 +287,29 @@ std::vector<int> VertexAgent::liveness_pass(std::int64_t now) {
     }
     if (now < k.next_probe) continue;
     if (k.probes_sent < liveness_.hello_max_retries) {
-      probes.push_back(m);
+      probes.push_back(k.id);
       ++k.probes_sent;
       ++counters_.retries;
       k.next_probe = now + backoff_delay(k.probes_sent);
     } else {
-      evict.push_back(m);
+      evict.push_back(k.id);
     }
   }
-  for (int m : evict) {
-    const auto it = knowledge_.find(m);
-    if (it->second.suspect) --suspect_count_;
-    knowledge_.erase(it);
-    needs_rebuild_ = true;
-    membership_changed_ = true;
-  }
+  if (evict.empty()) return probes;
+  // Evicted members keep their table slots until flush_membership().
+  std::erase_if(knowledge_, [&](const MemberKnowledge& k) {
+    if (!std::binary_search(evict.begin(), evict.end(), k.id)) return false;
+    if (k.suspect) --suspect_count_;
+    return true;
+  });
+  needs_rebuild_ = true;
+  membership_changed_ = true;
   return probes;
 }
 
 void VertexAgent::flush_membership() {
   if (!needs_rebuild_) return;
-  rebuild_local_view();
+  install_view(knowledge_);
   needs_rebuild_ = false;
   if (membership_changed_) {
     membership_changed_ = false;
@@ -313,18 +365,19 @@ bool VertexAgent::transmit_ok() const {
 
 std::pair<double, std::int64_t> VertexAgent::member_stats(int v) const {
   if (mode_ == MembershipMode::kViewSync) {
-    const auto it = knowledge_.find(v);
-    MHCA_ASSERT(it != knowledge_.end(), "member_stats of unknown member");
-    return {it->second.mean, it->second.count};
+    const MemberKnowledge* k = find_knowledge(v);
+    MHCA_ASSERT(k != nullptr, "member_stats of unknown member");
+    return {k->mean, k->count};
   }
-  const auto it = table_.find(v);
-  MHCA_ASSERT(it != table_.end(), "member_stats of unknown member");
-  return {it->second.mean, it->second.count};
+  const int i = find_local(v);
+  MHCA_ASSERT(i >= 0 && i != self_local_, "member_stats of unknown member");
+  return {table_.mean[static_cast<std::size_t>(i)],
+          table_.count[static_cast<std::size_t>(i)]};
 }
 
 const std::vector<int>* VertexAgent::member_neighbors(int v) const {
-  const auto it = knowledge_.find(v);
-  return it == knowledge_.end() ? nullptr : &it->second.neighbors;
+  const MemberKnowledge* k = find_knowledge(v);
+  return k == nullptr ? nullptr : &k->neighbors;
 }
 
 // --------------------------------------------------------- round lifecycle
@@ -344,9 +397,11 @@ void VertexAgent::begin_round(const IndexPolicy& policy, std::int64_t t,
   // live agent's table still lists them as competition.
   status_ = active_ ? VertexStatus::kCandidate : VertexStatus::kLoser;
   own_index_ = policy.index_from(mean_, count_, id_, t, num_arms);
-  for (auto& [v, e] : table_) {
-    e.status = VertexStatus::kCandidate;
-    e.index = policy.index_from(e.mean, e.count, v, t, num_arms);
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    if (static_cast<int>(i) == self_local_) continue;
+    table_.status[i] = VertexStatus::kCandidate;
+    table_.index[i] = policy.index_from(table_.mean[i], table_.count[i],
+                                        members_[i], t, num_arms);
   }
   if (mode_ == MembershipMode::kViewSync && active_ && has_suspects())
     ++counters_.stale_decisions;  // this round is decided under a stale view
@@ -355,18 +410,18 @@ void VertexAgent::begin_round(const IndexPolicy& policy, std::int64_t t,
 void VertexAgent::on_weight_update(const Message& msg) {
   if (mode_ == MembershipMode::kViewSync) {
     maybe_adopt(msg.view);
-    const auto kit = knowledge_.find(msg.origin);
-    if (kit == knowledge_.end()) return;  // evicted; a keep-alive readmits
-    MemberKnowledge& k = kit->second;
+    MemberKnowledge* const kp = find_knowledge(msg.origin);
+    if (kp == nullptr) return;  // evicted; a keep-alive readmits
+    MemberKnowledge& k = *kp;
     k.last_heard = std::max(k.last_heard, msg.round);
     if (msg.count < k.count) return;  // delayed/duplicated: stale payload
     k.mean = msg.mean;
     k.count = msg.count;
   }
-  const auto it = table_.find(msg.origin);
-  if (it == table_.end()) return;  // beyond my 2r+1 horizon
-  it->second.mean = msg.mean;
-  it->second.count = msg.count;
+  const int i = find_local(msg.origin);
+  if (i < 0 || i == self_local_) return;  // beyond my 2r+1 horizon
+  table_.mean[static_cast<std::size_t>(i)] = msg.mean;
+  table_.count[static_cast<std::size_t>(i)] = msg.count;
 }
 
 bool VertexAgent::should_lead() const {
@@ -376,9 +431,12 @@ bool VertexAgent::should_lead() const {
   // missed contender is how double-claims happen.
   if (mode_ == MembershipMode::kViewSync && has_suspects()) return false;
   const std::pair<double, int> my_key{own_index_, -id_};
-  for (const auto& [v, e] : table_) {
-    if (e.status != VertexStatus::kCandidate) continue;
-    if (std::pair<double, int>{e.index, -v} > my_key) return false;
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    if (static_cast<int>(i) == self_local_ ||
+        table_.status[i] != VertexStatus::kCandidate)
+      continue;
+    if (std::pair<double, int>{table_.index[i], -members_[i]} > my_key)
+      return false;
   }
   return true;
 }
@@ -388,16 +446,13 @@ void VertexAgent::gather_local_candidates() {
   cand_buf_.clear();
   weight_buf_.assign(static_cast<std::size_t>(local_graph_.size()), 0.0);
   for (const int lv : r_ball_local_) {
-    const int gv = members_[static_cast<std::size_t>(lv)];
-    if (gv == id_) {
+    const auto i = static_cast<std::size_t>(lv);
+    if (lv == self_local_) {
       cand_buf_.push_back(lv);
-      weight_buf_[static_cast<std::size_t>(lv)] = own_index_;
-    } else {
-      const Entry& e = table_.at(gv);
-      if (e.status == VertexStatus::kCandidate) {
-        cand_buf_.push_back(lv);
-        weight_buf_[static_cast<std::size_t>(lv)] = e.index;
-      }
+      weight_buf_[i] = own_index_;
+    } else if (table_.status[i] == VertexStatus::kCandidate) {
+      cand_buf_.push_back(lv);
+      weight_buf_[i] = table_.index[i];
     }
   }
 }
@@ -419,13 +474,12 @@ std::vector<StatusEntry> VertexAgent::verdicts_from(const MwisResult& res) {
   // lose as well (they may sit at distance r+1, still inside the table).
   for (int lw : res.vertices) {
     for (int lu : local_graph_.neighbors(lw)) {
-      if (decided[static_cast<std::size_t>(lu)]) continue;
-      const int gu = members_[static_cast<std::size_t>(lu)];
-      const VertexStatus st =
-          gu == id_ ? status_ : table_.at(gu).status;
+      const auto i = static_cast<std::size_t>(lu);
+      if (decided[i]) continue;
+      const VertexStatus st = lu == self_local_ ? status_ : table_.status[i];
       if (st != VertexStatus::kCandidate) continue;
-      decided[static_cast<std::size_t>(lu)] = 1;
-      verdicts.push_back(StatusEntry{gu, VertexStatus::kLoser});
+      decided[i] = 1;
+      verdicts.push_back(StatusEntry{members_[i], VertexStatus::kLoser});
     }
   }
   return verdicts;
@@ -452,14 +506,17 @@ void VertexAgent::on_determination(const Message& msg) {
     // ghost: the statuses it names were re-randomized at begin_round.
     if (msg.round != round_now_) return;
   }
+  // The leader's candidates come first in ascending order, then the losers
+  // it appended: one forward cursor serves both runs.
+  SortedCursor cursor(members_);
   for (const StatusEntry& e : msg.statuses) {
     if (e.vertex == id_) {
       status_ = e.status;
       decision_view_ = msg.view;
       continue;
     }
-    const auto it = table_.find(e.vertex);
-    if (it != table_.end()) it->second.status = e.status;
+    if (const int i = cursor.find(e.vertex); i >= 0)
+      table_.status[static_cast<std::size_t>(i)] = e.status;
   }
 }
 

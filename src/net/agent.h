@@ -6,6 +6,16 @@
 // Every decision it takes (leader self-election, local MWIS, status
 // updates) is a function of this local table alone.
 //
+// State layout. The member list is sorted by global id, so a member's
+// position in it is its dense local id. The per-member table (mean, count,
+// index, status) is a set of parallel arrays indexed by that local id, and
+// so is the local subgraph; self's table slot is unused (own state lives in
+// separate fields). Global ids are mapped to local ids by binary search on
+// the member list, and sorted id lists (determination payloads, neighbor
+// lists) by a forward search that restarts only where the list stops
+// ascending. Every buffer an agent owns is sized by its member count, never
+// by the global vertex count.
+//
 // Two membership modes (net/view.h):
 //   kOmniscient — the runtime's delta feed reopens discovery after churn
 //     (on_hello / finalize_discovery / reset_discovery), the pre-view-sync
@@ -26,8 +36,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -172,27 +180,36 @@ class VertexAgent {
 
   /// Number of (2r+1)-hop members tracked, excluding self (the O(m)
   /// space-complexity metric of §IV-C).
-  std::size_t table_size() const { return table_.size(); }
+  std::size_t table_size() const {
+    return members_.empty() ? 0 : members_.size() - 1;
+  }
 
  private:
-  struct Entry {
-    double mean = 0.0;
-    std::int64_t count = 0;
-    double index = 0.0;
-    VertexStatus status = VertexStatus::kCandidate;
-  };
-
-  /// Everything this agent knows about one member (view-sync; persistent
-  /// across rebuilds, ordered by id for deterministic iteration).
-  struct MemberKnowledge {
+  /// A member as last advertised by its hello: direct neighbors (sorted)
+  /// and sufficient statistics.
+  struct Advert {
+    int id = -1;
     std::vector<int> neighbors;
     double mean = 0.0;
     std::int64_t count = 0;
+  };
+
+  /// Everything this agent knows about one member (view-sync; persistent
+  /// across rebuilds).
+  struct MemberKnowledge : Advert {
     std::int64_t last_heard = 0;        ///< Send round of newest evidence.
     std::int64_t last_hello_round = -1; ///< Newest accepted adjacency.
     bool suspect = false;
     int probes_sent = 0;
     std::int64_t next_probe = 0;
+  };
+
+  /// Per-member table, parallel arrays indexed by local id.
+  struct Table {
+    std::vector<double> mean;
+    std::vector<std::int64_t> count;
+    std::vector<double> index;
+    std::vector<VertexStatus> status;
   };
 
   double own_index_ = 0.0;
@@ -208,18 +225,13 @@ class VertexAgent {
   std::int64_t count_ = 0;
   std::int64_t round_now_ = 0;  ///< Current round (stale-verdict rejection).
 
-  // Discovery state (omniscient mode).
-  struct Hello {
-    std::vector<int> neighbors;
-    double mean = 0.0;
-    std::int64_t count = 0;
-  };
+  // Discovery state (omniscient mode): collected hellos, sorted by id.
   std::vector<int> own_neighbors_;
-  std::unordered_map<int, Hello> hello_lists_;
+  std::vector<Advert> hellos_;
   bool discovered_ = false;
 
   // View-sync state.
-  std::map<int, MemberKnowledge> knowledge_;  ///< Excludes self.
+  std::vector<MemberKnowledge> knowledge_;  ///< Sorted by id; excludes self.
   ViewId view_{};
   ViewId decision_view_{};
   int suspect_count_ = 0;
@@ -230,11 +242,13 @@ class VertexAgent {
   bool solicit_pending_ = false;
   AgentCounters counters_;
 
-  // Local view: sorted member ids (== J_{2r+1}(id) incl. self), local graph
-  // over them, and per-member entries.
+  // Local view: sorted member ids (== J_{2r+1}(id) incl. self; a member's
+  // position is its local id), the local graph over local ids, and the
+  // per-member table.
   std::vector<int> members_;
+  int self_local_ = -1;
   Graph local_graph_;
-  std::unordered_map<int, Entry> table_;
+  Table table_;
   // Memoized at discovery: this agent's r-ball (local ids, sorted) —
   // static for the lifetime of the network.
   std::vector<int> r_ball_local_;
@@ -242,17 +256,18 @@ class VertexAgent {
   std::vector<int> cand_buf_;
   std::vector<double> weight_buf_;
 
-  int local_id(int global) const;
+  /// Local id of a member, or -1 when `global` is not a member.
+  int find_local(int global) const;
+  MemberKnowledge* find_knowledge(int v);
+  const MemberKnowledge* find_knowledge(int v) const;
   void maybe_adopt(const ViewId& v);
   void bump_view();
   std::int64_t backoff_delay(int attempt) const;
-  /// Rebuild members_/local_graph_/table_/r-ball from knowledge_ (view-sync
-  /// structural refresh; statuses are re-seeded at the next begin_round).
-  void rebuild_local_view();
-  /// Shared structural build over an already-sorted members_ list; edge
-  /// lists are read through `neighbors_of(member)`.
-  template <typename NeighborsOf>
-  void build_structures(NeighborsOf&& neighbors_of);
+  /// Install members_/table_/local_graph_/r-ball from adverts sorted by id
+  /// (hellos_ at omniscient discovery, knowledge_ on a view-sync rebuild;
+  /// statuses are re-seeded at the next begin_round).
+  template <typename Adverts>
+  void install_view(const Adverts& adverts);
   /// Fill cand_buf_/weight_buf_ with the Candidates of the memoized r-ball,
   /// in ascending local-id order.
   void gather_local_candidates();

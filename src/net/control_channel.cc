@@ -76,10 +76,10 @@ double ControlChannel::fault_draw(int vertex, std::uint64_t salt) const {
   return hash_to_unit(splitmix64(h));
 }
 
-void ControlChannel::record_flood(const Message& msg, int ttl,
+void ControlChannel::record_flood(std::uint64_t digest, int ttl,
                                   const std::vector<std::uint8_t>& bytes) {
   trace_hash_ = hash_combine(trace_hash_, 0xF100D);
-  trace_hash_ = hash_combine(trace_hash_, message_digest(msg));
+  trace_hash_ = hash_combine(trace_hash_, digest);
   trace_hash_ = hash_combine(trace_hash_, static_cast<std::uint64_t>(ttl));
   // The wire-level fold: replays must agree on the exact bytes, not just on
   // the struct fields they decode to.
@@ -87,10 +87,10 @@ void ControlChannel::record_flood(const Message& msg, int ttl,
                              wire::bytes_digest(bytes.data(), bytes.size()));
 }
 
-void ControlChannel::record_delivery(int to, const Message& msg) {
+void ControlChannel::record_delivery(int to, std::uint64_t digest) {
   trace_hash_ = hash_combine(trace_hash_, 0xDE11);
   trace_hash_ = hash_combine(trace_hash_, static_cast<std::uint64_t>(to));
-  trace_hash_ = hash_combine(trace_hash_, message_digest(msg));
+  trace_hash_ = hash_combine(trace_hash_, digest);
 }
 
 void ControlChannel::bill(MsgType type, std::size_t wire_size,
@@ -105,7 +105,7 @@ void ControlChannel::bill(MsgType type, std::size_t wire_size,
 }
 
 void ControlChannel::deliver_copies(
-    int vertex, const Message& msg,
+    int vertex, const Message& msg, std::uint64_t digest,
     const std::shared_ptr<const std::vector<std::uint8_t>>& bytes,
     const std::function<void(int, const Message&)>& deliver,
     std::vector<Pending>& same_flood) {
@@ -143,7 +143,7 @@ void ControlChannel::deliver_copies(
       }
       continue;
     }
-    record_delivery(vertex, msg);
+    record_delivery(vertex, digest);
     deliver(vertex, msg);
   }
 }
@@ -194,21 +194,23 @@ void ControlChannel::flood_impl(
                        tr ? std::string(targs) : std::string());
 
   ++stats_.floods;
-  record_flood(msg, ttl, *bytes);
 
   // The always-on round-trip invariant: what receivers decode from the wire
   // must be exactly what the sender marshalled. Deliveries below hand out
-  // this decoded copy, never the caller's struct.
+  // this decoded copy, never the caller's struct, and fold its digest,
+  // computed once per flood.
   const Message decoded = wire::decode(bytes->data(), wire_size);
-  MHCA_ASSERT(message_digest(decoded) == message_digest(msg),
+  const std::uint64_t digest = message_digest(decoded);
+  MHCA_ASSERT(digest == message_digest(msg),
               "wire round-trip changed the message (encode/decode drift)");
+  record_flood(digest, ttl, *bytes);
 
   if (!faults_.any()) {
     scratch_.k_hop_neighborhood(topology_, msg.origin, ttl, reach_buf_);
     bill(msg.type, wire_size, static_cast<std::int64_t>(reach_buf_.size()));
     for (int v : reach_buf_) {
       if (v == msg.origin) continue;
-      record_delivery(v, decoded);
+      record_delivery(v, digest);
       deliver(v, decoded);
     }
     return;
@@ -242,7 +244,7 @@ void ControlChannel::flood_impl(
         continue;
       }
       queue.push_back({u, it.depth + 1});
-      deliver_copies(u, decoded, bytes, deliver, same_flood);
+      deliver_copies(u, decoded, digest, bytes, deliver, same_flood);
     }
   }
   bill(msg.type, wire_size, transmitters);
@@ -256,7 +258,7 @@ void ControlChannel::flood_impl(
               });
     for (const Pending& p : same_flood) {
       const Message m = wire::decode(p.bytes->data(), p.bytes->size());
-      record_delivery(p.to, m);
+      record_delivery(p.to, message_digest(m));
       deliver(p.to, m);
     }
   }
@@ -283,7 +285,7 @@ void ControlChannel::begin_slot(
   for (const Pending& p : due) {
     // Stragglers decode when they finally land — the queue held datagrams.
     const Message m = wire::decode(p.bytes->data(), p.bytes->size());
-    record_delivery(p.to, m);
+    record_delivery(p.to, message_digest(m));
     dispatch(p.to, m);
   }
 }

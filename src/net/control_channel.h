@@ -149,11 +149,12 @@ class ControlChannel {
 
   /// Per-(flood, vertex, salt) uniform [0,1) draw.
   double fault_draw(int vertex, std::uint64_t salt) const;
-  void record_flood(const Message& msg, int ttl,
+  /// Trace folds; `digest` is message_digest() of the message delivered.
+  void record_flood(std::uint64_t digest, int ttl,
                     const std::vector<std::uint8_t>& bytes);
-  void record_delivery(int to, const Message& msg);
+  void record_delivery(int to, std::uint64_t digest);
   void deliver_copies(
-      int vertex, const Message& msg,
+      int vertex, const Message& msg, std::uint64_t digest,
       const std::shared_ptr<const std::vector<std::uint8_t>>& bytes,
       const std::function<void(int, const Message&)>& deliver,
       std::vector<Pending>& same_flood);

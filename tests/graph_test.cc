@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "graph/conflict_graph.h"
 #include "graph/extended_graph.h"
@@ -306,6 +308,22 @@ TEST(Generators, RandomGeometricConnectedAndDegree) {
   // Expected degree ~6; allow broad tolerance (connectivity filter biases up).
   EXPECT_GT(cg.graph().average_degree(), 3.0);
   EXPECT_LT(cg.graph().average_degree(), 12.0);
+}
+
+TEST(Generators, UnconnectableGeometricErrorNamesParameters) {
+  Rng rng(3);
+  try {
+    random_geometric(50, 10.0, 0.01, rng, /*force_connected=*/true,
+                     /*max_attempts=*/3);
+    FAIL() << "a 50-node disk graph of radius 0.01 cannot be connected";
+  } catch (const std::logic_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("in 3 attempts: n = 50, radius = 0.01, side = 10"),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("topology.force_connected=false"), std::string::npos)
+        << msg;
+  }
 }
 
 TEST(Generators, ErdosRenyiDensity) {

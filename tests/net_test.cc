@@ -5,13 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bandit/estimates.h"
 #include "bandit/policy.h"
+#include "bandit/simple_policies.h"
 #include "channel/gaussian.h"
 #include "graph/extended_graph.h"
 #include "graph/generators.h"
@@ -31,6 +34,7 @@ using net::Message;
 using net::MsgType;
 using net::NetConfig;
 using net::NetRoundResult;
+using net::VertexAgent;
 
 Graph path_graph(int n) {
   Graph g(n);
@@ -446,6 +450,149 @@ TEST(NetLinearWorstCase, OneLeaderPerMiniRound) {
   // Needs about n / (2r+1) = 3 mini-rounds.
   EXPECT_GE(res.mini_rounds, 3);
   EXPECT_TRUE(ecg.graph().is_independent_set(res.strategy));
+}
+
+// ------------------------------------------- agent table (dense layout)
+
+Message hello_from(int origin, std::vector<int> neighbors, double mean,
+                   std::int64_t count, std::int64_t round = 0) {
+  Message m;
+  m.type = MsgType::kHello;
+  m.origin = origin;
+  m.round = round;
+  m.neighbor_list = std::move(neighbors);
+  m.mean = mean;
+  m.count = count;
+  return m;
+}
+
+// A view-sync agent 0 on the path 0 - 1 - 2 (r = 1), with its own index
+// at 0.5 under the greedy policy (index = mean once played).
+VertexAgent viewsync_agent(double mean1, net::LivenessParams liveness = {}) {
+  VertexAgent a(0, 1, net::MembershipMode::kViewSync, liveness);
+  a.set_own_neighbors({1});
+  a.on_membership_message(hello_from(1, {0, 2}, mean1, 3), 0);
+  a.on_membership_message(hello_from(2, {1}, 0.2, 3), 0);
+  a.finalize_discovery();
+  a.observe(0.5);
+  return a;
+}
+
+TEST(AgentTable, AdmittedMemberUpdatesKnowledgeButNotTableUntilFlush) {
+  const GreedyIndexPolicy greedy;
+  VertexAgent a = viewsync_agent(0.1);
+  EXPECT_EQ(a.members(), (std::vector<int>{0, 1, 2}));
+  a.begin_round(greedy, 1, 3);
+  EXPECT_TRUE(a.should_lead());
+
+  // Member 3 enters the horizon: admitted into knowledge, no table slot yet.
+  a.on_membership_message(hello_from(3, {2}, 0.9, 4, 1), 1);
+  EXPECT_EQ(a.members(), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(a.table_size(), 2u);
+  EXPECT_EQ(a.member_stats(3), (std::pair<double, std::int64_t>{0.9, 4}));
+  // Its statistics keep flowing into knowledge only.
+  a.on_membership_message(hello_from(3, {2}, 0.95, 6, 2), 2);
+  Message wu;
+  wu.type = MsgType::kWeightUpdate;
+  wu.origin = 3;
+  wu.round = 2;
+  wu.mean = 0.97;
+  wu.count = 7;
+  a.on_weight_update(wu);
+  EXPECT_EQ(a.member_stats(3), (std::pair<double, std::int64_t>{0.97, 7}));
+  a.begin_round(greedy, 2, 3);
+  EXPECT_TRUE(a.should_lead()) << "a member without a slot cannot compete";
+
+  // The rebuild gives it a slot seeded from the newest knowledge.
+  a.flush_membership();
+  EXPECT_EQ(a.members(), (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(a.table_size(), 3u);
+  EXPECT_EQ(a.view().seq, 1);
+  a.begin_round(greedy, 3, 3);
+  EXPECT_FALSE(a.should_lead());
+}
+
+TEST(AgentTable, EvictedMemberKeepsItsSlotUntilFlush) {
+  const GreedyIndexPolicy greedy;
+  net::LivenessParams liveness;
+  liveness.hello_timeout_slots = 2;
+  liveness.hello_max_retries = 0;  // evict on the first timeout
+  VertexAgent a = viewsync_agent(0.9, liveness);
+  a.on_membership_message(hello_from(2, {1}, 0.2, 3, 10), 10);
+  EXPECT_TRUE(a.liveness_pass(10).empty());
+  EXPECT_EQ(a.member_neighbors(1), nullptr);  // gone from knowledge
+  EXPECT_FALSE(a.has_suspects());
+  EXPECT_EQ(a.members(), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(a.table_size(), 2u);
+
+  // The slot still competes and still takes verdicts.
+  a.begin_round(greedy, 10, 3);
+  EXPECT_FALSE(a.should_lead());
+  Message det;
+  det.type = MsgType::kDetermination;
+  det.origin = 1;
+  det.round = 10;
+  det.statuses = {{1, VertexStatus::kLoser}};
+  a.on_determination(det);
+  EXPECT_TRUE(a.should_lead());
+
+  a.flush_membership();
+  EXPECT_EQ(a.members(), (std::vector<int>{0, 2}));
+  EXPECT_EQ(a.table_size(), 1u);
+  EXPECT_EQ(a.view().seq, 1);
+  a.begin_round(greedy, 11, 3);
+  EXPECT_TRUE(a.should_lead());
+}
+
+TEST_F(NetFixture, TableSizeIsMembersMinusSelfAfterDiscovery) {
+  EXPECT_EQ(VertexAgent(0, 2).table_size(), 0u);
+  for (const auto mode :
+       {net::MembershipMode::kOmniscient, net::MembershipMode::kViewSync}) {
+    NetConfig cfg;
+    cfg.membership = mode;
+    DistributedRuntime rt(ecg_, model_, cfg);
+    for (int v = 0; v < ecg_.num_vertices(); ++v) {
+      const auto& a = rt.agent(v);
+      ASSERT_FALSE(a.members().empty());
+      EXPECT_EQ(a.table_size(), a.members().size() - 1);
+      EXPECT_TRUE(std::is_sorted(a.members().begin(), a.members().end()));
+    }
+  }
+}
+
+TEST(AgentTable, OmniscientMemberStatsAreTheCarriedHelloStats) {
+  VertexAgent a(1, 1);
+  a.set_own_neighbors({0, 2});
+  // Out of id order, and member 2 heard twice: the later copy wins.
+  a.on_hello(hello_from(2, {1}, 0.1, 1));
+  a.on_hello(hello_from(0, {1}, 0.3, 7));
+  a.on_hello(hello_from(2, {1}, 0.6, 2));
+  a.finalize_discovery();
+  EXPECT_EQ(a.members(), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(a.table_size(), 2u);
+  EXPECT_EQ(a.member_stats(0), (std::pair<double, std::int64_t>{0.3, 7}));
+  EXPECT_EQ(a.member_stats(2), (std::pair<double, std::int64_t>{0.6, 2}));
+}
+
+TEST_F(NetFixture, OmniscientDiscoveryUnderDuplicatesBuildsTheCleanTable) {
+  NetConfig dup;
+  dup.dup_prob = 0.5;
+  dup.drop_seed = 3;
+  DistributedRuntime clean(ecg_, model_, NetConfig{});
+  DistributedRuntime noisy(ecg_, model_, dup);
+  EXPECT_GT(noisy.channel_stats().duplicates, 0);
+  for (int v = 0; v < ecg_.num_vertices(); ++v) {
+    const auto& a = clean.agent(v);
+    const auto& b = noisy.agent(v);
+    ASSERT_EQ(a.members(), b.members());
+    EXPECT_EQ(a.table_size(), b.table_size());
+    for (int m : a.members()) {
+      if (m != v) EXPECT_EQ(a.member_stats(m), b.member_stats(m));
+    }
+  }
+  // Same tables, same local graphs: the same decisions.
+  for (int t = 0; t < 3; ++t)
+    EXPECT_EQ(clean.step().strategy, noisy.step().strategy);
 }
 
 }  // namespace

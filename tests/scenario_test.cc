@@ -169,6 +169,25 @@ std::string error_message(Fn&& fn) {
   return "";
 }
 
+TEST(ScenarioErrors, DisconnectedGeometricTopologyNamesTheFix) {
+  // 800 nodes at average degree 5 are almost never connected; the message
+  // must name the key that fixes it, not just ask for a bigger radius.
+  Scenario s = scenario::parse_scenario_file(
+      std::string(MHCA_SOURCE_DIR) + "/examples/scenarios/quickstart.ini");
+  scenario::apply_override(s, "topology.nodes=800");
+  scenario::apply_override(s, "run.slots=1");
+  const std::string msg = error_message([&] { ScenarioRunner(s).run(); });
+  EXPECT_TRUE(message_contains(msg, "topology.force_connected=false"));
+  EXPECT_TRUE(message_contains(msg, "n = 800"));
+  EXPECT_TRUE(message_contains(msg, "in 200 attempts"));
+  EXPECT_TRUE(message_contains(msg, "expected average degree 5"));
+  EXPECT_TRUE(message_contains(msg, "topology.avg_degree"));
+
+  // The named fix works: the same scenario runs with the key set.
+  scenario::apply_override(s, "topology.force_connected=false");
+  EXPECT_EQ(ScenarioRunner(s).run().total_slots, 1);
+}
+
 TEST(ScenarioErrors, UnknownRegistryNameListsValidOnes) {
   Scenario s = scenario::parse_scenario(kFullScenario);
   s.topology.kind = "gemoetric";  // typo
