@@ -41,11 +41,19 @@ class BfsScratch {
   void two_radius_sizes(const Graph& g, int v, int k_inner, int k_outer,
                         std::int64_t& inner_size, std::int64_t& outer_size);
 
+  /// |J_k(v)| without materializing or sorting the ball: the implicit
+  /// election-ball tier and the engine's flood-size memo keep only sizes.
+  int k_hop_size(const Graph& g, int v, int k) {
+    std::int64_t inner = 0, outer = 0;
+    two_radius_sizes(g, v, k, k, inner, outer);
+    return static_cast<int>(outer);
+  }
+
   /// Collect all vertices within k hops of *any* source (sources included;
   /// duplicates among sources are fine), sorted ascending. This is the
-  /// blast-radius primitive of incremental maintenance: vertices within
-  /// 2r+1 hops of an edge change are exactly the ones whose cached balls
-  /// can differ (see NeighborhoodCache::apply_delta).
+  /// blast-radius primitive of incremental maintenance: a k-ball can
+  /// differ only if its owner is within k-1 hops of an edge change (see
+  /// NeighborhoodCache::apply_delta).
   void multi_source_k_hop(const Graph& g, std::span<const int> sources, int k,
                           std::vector<int>& out);
 

@@ -172,69 +172,37 @@ void NeighborhoodCache::apply_delta(const Graph& g,
     return;
   }
 
-  // Affected = within 2r+1 hops of a touched vertex on the already-patched
-  // graph — one multi-source BFS. Complete per the argument in the header:
-  // a ball gained a member only through an added (touched-endpoint) edge,
-  // and lost one only through a removed edge whose surviving old-path
-  // prefix ends at a touched vertex; either way the owner is within 2r+1
-  // *new-graph* hops of `touched`.
-  std::vector<char> affected(static_cast<std::size_t>(size_), 0);
-  for (int t : touched)
-    MHCA_ASSERT(t >= 0 && t < size_, "touched vertex out of range");
-  BfsScratch scratch(size_);
-  std::vector<int> reach;
-  scratch.multi_source_k_hop(g, touched, 2 * r_ + 1, reach);
-  for (int v : reach) affected[static_cast<std::size_t>(v)] = 1;
-
-  // Recompute only the affected balls, buffered flat (the buffers hold the
-  // blast radius, not the whole cache). Everything below is about writing
-  // them back without the old whole-array rewrite: a span whose size did
-  // not change — and every span before the first size change — keeps its
-  // offset, so it is patched in place (zero copy for unaffected spans);
-  // only the suffix from the first size-changing vertex on shifts and gets
-  // rewritten. A single touched vertex used to cost a full ~O(total
-  // entries) copy (~120 MB at 50k vertices, r=2); now it costs the
-  // recomputed balls plus whatever suffix actually moved. On the implicit
-  // tier the e-ball side degenerates to overwriting the affected sizes.
+  // Each layer recomputes only the owners within k-1 hops of `touched` on
+  // the already-patched graph, for its own radius k (the proof is in the
+  // header). Recomputed balls are buffered flat (the buffers hold the
+  // blast radius, not the whole cache) and written back by `patch`: a span
+  // whose size did not change, and every span before the first size
+  // change, keeps its offset and is overwritten in place; only the suffix
+  // from the first size-changing owner on shifts and is rewritten once.
   const auto n = static_cast<std::size_t>(size_);
-  const bool implicit = tier_ == EballTier::kImplicit;
-  std::vector<int> aff;                      // affected ids, ascending
-  std::vector<std::int64_t> ar_off{0}, ae_off{0};  // per-affected offsets
-  std::vector<int> ar_data, ae_data;
-  std::vector<int> r_ball_buf, e_ball_buf;
-  for (int v = 0; v < size_; ++v) {
-    if (!affected[static_cast<std::size_t>(v)]) continue;
-    aff.push_back(v);
-    scratch.two_radius_neighborhood(g, v, r_, 2 * r_ + 1, r_ball_buf,
-                                    e_ball_buf);
-    ar_data.insert(ar_data.end(), r_ball_buf.begin(), r_ball_buf.end());
-    ar_off.push_back(static_cast<std::int64_t>(ar_data.size()));
-    if (implicit) {
-      e_sizes_[static_cast<std::size_t>(v)] =
-          static_cast<int>(e_ball_buf.size());
-    } else {
-      ae_data.insert(ae_data.end(), e_ball_buf.begin(), e_ball_buf.end());
-      ae_off.push_back(static_cast<std::int64_t>(ae_data.size()));
+  BfsScratch scratch(size_);
+  std::vector<int> aff;  // owners to recompute, ascending
+  std::vector<std::int64_t> a_off;
+  std::vector<int> a_data, ball;
+  const auto recompute = [&](int k) {
+    a_off.assign(1, 0);
+    a_data.clear();
+    for (int v : aff) {
+      scratch.k_hop_neighborhood(g, v, k, ball);
+      a_data.insert(a_data.end(), ball.begin(), ball.end());
+      a_off.push_back(static_cast<std::int64_t>(a_data.size()));
     }
-  }
-
-  const auto new_size = [&](const std::vector<std::int64_t>& off,
-                            std::size_t i) {
-    return off[i + 1] - off[i];
   };
+  const auto new_size = [&](std::size_t i) { return a_off[i + 1] - a_off[i]; };
   const auto old_size = [&](const std::vector<std::int64_t>& off, int v) {
     return off[static_cast<std::size_t>(v) + 1] -
            off[static_cast<std::size_t>(v)];
   };
-  // First vertex whose span offset moves = first affected vertex whose ball
-  // changed size; everything before it is patched in place.
   const auto patch = [&](std::vector<std::int64_t>& offsets,
-                         std::vector<int>& data,
-                         const std::vector<std::int64_t>& a_off,
-                         const std::vector<int>& a_data) {
+                         std::vector<int>& data) {
     int first_shift = size_;
     for (std::size_t i = 0; i < aff.size(); ++i) {
-      if (new_size(a_off, i) != old_size(offsets, aff[i])) {
+      if (new_size(i) != old_size(offsets, aff[i])) {
         first_shift = aff[i];
         break;
       }
@@ -244,20 +212,20 @@ void NeighborhoodCache::apply_delta(const Graph& g,
       const auto dst = static_cast<std::ptrdiff_t>(
           offsets[static_cast<std::size_t>(aff[i])]);
       const auto src = static_cast<std::ptrdiff_t>(a_off[i]);
-      const auto len = static_cast<std::ptrdiff_t>(new_size(a_off, i));
+      const auto len = static_cast<std::ptrdiff_t>(new_size(i));
       std::copy(a_data.begin() + src, a_data.begin() + src + len,
                 data.begin() + dst);
     }
     if (first_shift == size_) return;
-    // Rebuild the shifted suffix: affected spans from the buffers,
-    // unaffected ones copied over from their (still intact) old position.
+    // Rebuild the shifted suffix: recomputed spans from the buffers, the
+    // others copied over from their (still intact) old position.
     std::vector<int> tail;
     std::vector<std::int64_t> sizes;
     sizes.reserve(n - static_cast<std::size_t>(first_shift));
     for (int v = first_shift; v < size_; ++v) {
       if (i < aff.size() && aff[i] == v) {
         const auto src = static_cast<std::ptrdiff_t>(a_off[i]);
-        const auto len = static_cast<std::ptrdiff_t>(new_size(a_off, i));
+        const auto len = static_cast<std::ptrdiff_t>(new_size(i));
         tail.insert(tail.end(), a_data.begin() + src,
                     a_data.begin() + src + len);
         sizes.push_back(len);
@@ -280,8 +248,23 @@ void NeighborhoodCache::apply_delta(const Graph& g,
           offsets[static_cast<std::size_t>(v)] +
           sizes[static_cast<std::size_t>(v - first_shift)];
   };
-  patch(r_offsets_, r_data_, ar_off, ar_data);
-  if (!implicit) patch(e_offsets_, e_data_, ae_off, ae_data);
+
+  // r-balls: owners within r-1 hops.
+  scratch.multi_source_k_hop(g, touched, r_ - 1, aff);
+  recompute(r_);
+  patch(r_offsets_, r_data_);
+
+  // Election balls: owners within 2r hops. The implicit tier stores only
+  // sizes, so it counts each ball without materializing or sorting it.
+  scratch.multi_source_k_hop(g, touched, 2 * r_, aff);
+  if (tier_ == EballTier::kImplicit) {
+    for (int v : aff)
+      e_sizes_[static_cast<std::size_t>(v)] =
+          scratch.k_hop_size(g, v, 2 * r_ + 1);
+  } else {
+    recompute(2 * r_ + 1);
+    patch(e_offsets_, e_data_);
+  }
   last_invalidated_ = static_cast<int>(aff.size());
 }
 

@@ -34,8 +34,8 @@
 // Reuse contract: the cache borrows the graph; the graph must be finalized
 // first. When the graph *does* change (dynamics, src/dynamics/README.md),
 // `apply_delta` re-synchronizes the cache by recomputing only the balls
-// that can have moved — vertices within 2r+1 hops of a touched vertex —
-// instead of re-running one BFS per vertex.
+// that can have moved: a k-ball only if its owner is within k-1 hops of a
+// touched vertex, so r-1 hops for r-balls and 2r for election balls.
 #pragma once
 
 #include <cstdint>
@@ -131,28 +131,30 @@ class NeighborhoodCache {
 
   /// Re-synchronize with a graph that just changed. `touched` are the
   /// vertices incident to an added/removed edge (the graph must already be
-  /// patched). Affected = one multi-source BFS to 2r+1 hops from `touched`
-  /// on the new graph. That single new-graph sweep is complete: touched
-  /// holds both endpoints of every changed edge, so (a) a vertex entering
-  /// some ball got there via an added edge whose endpoints are touched,
-  /// and (b) a vertex leaving one had an old path through a removed edge —
-  /// the prefix of that path up to the *first* removed edge survives in
-  /// the new graph and ends at a touched vertex. Either way the ball's
-  /// owner is within 2r+1 new-graph hops of `touched`. (Earlier revisions
-  /// also unioned the stored old election balls of the touched vertices;
-  /// that added only vertices whose balls hadn't changed — and the
-  /// implicit tier has no stored balls to read.)
+  /// patched). A k-ball J_k(v) can change only if d(v, T) <= k-1 on the
+  /// *new* graph, T = touched:
+  ///   - gained member u: a new path v..a-b..u of length <= k uses an added
+  ///     edge (a, b); take the first one, so d_new(v, a) <= k-1 and a is
+  ///     touched;
+  ///   - lost member u: an old path of length <= k used a removed edge
+  ///     (a, b); the prefix v..a before the first one survives in the new
+  ///     graph, so d_new(v, a) <= k-1 and a is touched.
+  /// So each layer recomputes only its own reach: r-balls for owners within
+  /// r-1 hops of T, election balls for owners within 2r hops, each found
+  /// by one multi-source BFS on the new graph.
   ///
-  /// Only affected vertices re-run BFS, and only
-  /// moved bytes are written: spans whose size is unchanged — and every
-  /// span before the first size change — keep their offsets and are
-  /// patched in place; the suffix from the first size-changing vertex on
-  /// is rewritten once. On the implicit tier the e-ball update is just the
-  /// affected sizes. The result is byte-identical to a from-scratch
-  /// rebuild (tests/dynamics_differential_test.cc fuzzes this claim).
+  /// Only moved bytes are written: spans whose size is unchanged, and every
+  /// span before the first size change, keep their offsets and are patched
+  /// in place; the suffix from the first size-changing owner on is
+  /// rewritten once. On the implicit tier the e-ball update is a counting
+  /// BFS per owner, stored as a size. The result is byte-identical to a
+  /// from-scratch rebuild (tests/dynamics_differential_test.cc fuzzes this
+  /// claim).
   void apply_delta(const Graph& g, std::span<const int> touched);
 
-  /// Affected vertices of the last apply_delta (introspection for benches).
+  /// Election balls the last apply_delta recomputed: |reach(T, 2r)|, the
+  /// owners within 2r hops of the touched vertices (introspection for
+  /// benches and tests). The r-ball layer recomputes a subset of these.
   int last_invalidated() const { return last_invalidated_; }
 
  private:

@@ -80,11 +80,7 @@ int DistributedRobustPtas::ball_size(int v, int radius) {
   auto& sizes = ball_size_cache_[radius];
   if (sizes.empty()) sizes.assign(static_cast<std::size_t>(h_.size()), -1);
   int& s = sizes[static_cast<std::size_t>(v)];
-  if (s < 0) {
-    std::vector<int> ball;
-    scratch_.k_hop_neighborhood(h_, v, radius, ball);
-    s = static_cast<int>(ball.size());
-  }
+  if (s < 0) s = scratch_.k_hop_size(h_, v, radius);
   return s;
 }
 
@@ -440,17 +436,14 @@ void DistributedRobustPtas::solve_local_instances(
 
 void DistributedRobustPtas::on_graph_delta(std::span<const int> touched) {
   if (cache_.built()) cache_.apply_delta(h_, touched);
-  // Scoped invalidation of the memoized flood ball sizes, mirroring the
-  // cache's: |J_k(v)| can only change if v is within k hops of a touched
-  // vertex on the old or the new graph, and one BFS on the new graph
-  // covers both — `touched` contains both endpoints of every removed
-  // edge, so an old-graph path from touched survives intact from its last
-  // removed edge on (whose far endpoint is itself touched), making
-  // old-graph reach a subset of new-graph reach. The former wholesale
-  // clear() re-derived every memoized size after a single-edge delta —
-  // O(n · ball) BFS work on the uncached seed path.
+  // Scoped invalidation of the memoized flood ball sizes, with the cache's
+  // bound: J_k(v) can change only if d(v, touched) <= k-1 on the new
+  // graph. A gained member is reached over an added edge (a, b) whose near
+  // endpoint a lies within k-1 hops of v; a lost member's old path runs
+  // through a removed edge (a, b), and its prefix up to the first one
+  // survives, again putting a touched vertex within k-1 new-graph hops.
   for (auto& [radius, sizes] : ball_size_cache_) {
-    scratch_.multi_source_k_hop(h_, touched, radius, reach_buf_);
+    scratch_.multi_source_k_hop(h_, touched, radius - 1, reach_buf_);
     for (int v : reach_buf_) sizes[static_cast<std::size_t>(v)] = -1;
   }
 }

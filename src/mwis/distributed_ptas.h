@@ -162,15 +162,12 @@ class DistributedRobustPtas {
 
   /// The graph this engine reads just changed (src/dynamics): `touched` are
   /// the H vertices incident to an added/removed edge. Re-synchronizes the
-  /// NeighborhoodCache by scoped invalidation (balls within 2r+1 hops of a
-  /// touched vertex, old or new graph), and scope-invalidates the lazily
-  /// memoized flood ball sizes the same way: only vertices within radius-k
-  /// hops of `touched` on the *new* graph can have a changed |J_k| (the
-  /// touched set contains both endpoints of every removed edge, so any
-  /// old-graph path from a touched vertex survives from its last removed
-  /// edge on — old-graph reach is a subset of new-graph reach). Decisions
-  /// after this call are byte-identical to a freshly constructed engine
-  /// (fuzzed by tests/dynamics_differential_test.cc).
+  /// NeighborhoodCache (NeighborhoodCache::apply_delta) and scope-invalidates
+  /// the lazily memoized flood ball sizes with the same bound: |J_k(v)| can
+  /// change only if v is within k-1 hops of `touched` on the *new* graph
+  /// (the proof is in the .cc). Decisions after this call are byte-identical
+  /// to a freshly constructed engine (fuzzed by
+  /// tests/dynamics_differential_test.cc).
   void on_graph_delta(std::span<const int> touched);
 
   /// Messages the Weight-Broadcast step of Algorithm 2 costs: each vertex of

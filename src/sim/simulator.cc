@@ -1,5 +1,6 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "dynamics/dynamic_network.h"
@@ -78,6 +79,7 @@ SimulationResult Simulator::run() {
   std::vector<double> weights;
   std::vector<int> strategy;
   std::vector<int> active_list;  // central-solver candidates when masked
+  std::vector<char> kept_mark;   // prune marks; all zero between slots
   double estimated_sum = 0.0;  // index-sum W_x of the current strategy
   double sum_observed = 0.0, sum_effective = 0.0, sum_estimated = 0.0;
   double sum_expected = 0.0, sum_strategy_size = 0.0;
@@ -95,22 +97,29 @@ SimulationResult Simulator::run() {
         }
         // A strategy carried across non-decision slots must stay feasible
         // on the new graph: drop members that went inactive, then members
-        // that now conflict with an earlier (lower-id) kept member. Purely
+        // that now conflict with a member kept earlier in strategy order.
+        // Kept members are marked, so each member scans its own adjacency
+        // row once: O(sum of degrees), not O(|S|^2) edge probes. Purely
         // deterministic, so both maintenance modes prune identically.
         if (!strategy.empty()) {
           const std::span<const char> mask = dyn_->active_vertex_mask();
+          kept_mark.resize(static_cast<std::size_t>(k_arms), 0);
           std::vector<int> kept;
           kept.reserve(strategy.size());
           for (int v : strategy) {
-            bool ok =
-                mask.empty() || mask[static_cast<std::size_t>(v)] != 0;
-            for (std::size_t i = 0; ok && i < kept.size(); ++i)
-              ok = !h.has_edge(v, kept[i]);
-            if (ok)
+            const bool ok =
+                (mask.empty() || mask[static_cast<std::size_t>(v)] != 0) &&
+                std::ranges::none_of(h.neighbors(v), [&](int u) {
+                  return kept_mark[static_cast<std::size_t>(u)] != 0;
+                });
+            if (ok) {
               kept.push_back(v);
-            else
+              kept_mark[static_cast<std::size_t>(v)] = 1;
+            } else {
               estimated_sum -= weights[static_cast<std::size_t>(v)];
+            }
           }
+          for (int v : kept) kept_mark[static_cast<std::size_t>(v)] = 0;
           strategy = std::move(kept);
         }
       }

@@ -112,6 +112,29 @@ std::vector<int> touched_of(const std::vector<std::pair<int, int>>& added,
   return touched;
 }
 
+/// Every vertex's r-ball and election ball in `cache` against a fresh
+/// serial build over g: spans on the explicit tier, sizes on the implicit.
+void expect_matches_fresh_build(const NeighborhoodCache& cache,
+                                const Graph& g) {
+  const NeighborhoodCache fresh(g, cache.r(), 1);
+  ASSERT_EQ(cache.eball_tier(), fresh.eball_tier());
+  const bool spans =
+      cache.eball_tier() == NeighborhoodCache::EballTier::kExplicit;
+  for (int v = 0; v < g.size(); ++v) {
+    const auto ra = cache.r_ball(v);
+    const auto rb = fresh.r_ball(v);
+    ASSERT_TRUE(std::equal(ra.begin(), ra.end(), rb.begin(), rb.end()))
+        << "r-ball " << v << " diverged";
+    ASSERT_EQ(cache.election_ball_size(v), fresh.election_ball_size(v))
+        << "e-ball size " << v << " diverged";
+    if (!spans) continue;
+    const auto ea = cache.election_ball(v);
+    const auto eb = fresh.election_ball(v);
+    ASSERT_TRUE(std::equal(ea.begin(), ea.end(), eb.begin(), eb.end()))
+        << "election ball " << v << " diverged";
+  }
+}
+
 // --------------------------------------------- layer 1: structural equality
 
 TEST(DynamicsDifferential, GraphAndCacheMatchFreshBuildOnRandomSequences) {
@@ -152,28 +175,16 @@ TEST(DynamicsDifferential, GraphAndCacheMatchFreshBuildOnRandomSequences) {
               << "bitset row " << v << " diverged at delta " << d;
         }
       }
-      const NeighborhoodCache fresh(rebuilt, r);
-      for (int v = 0; v < n; ++v) {
-        const auto ball_a = cache.r_ball(v);
-        const auto ball_b = fresh.r_ball(v);
-        ASSERT_TRUE(std::equal(ball_a.begin(), ball_a.end(), ball_b.begin(),
-                               ball_b.end()))
-            << "r-ball " << v << " diverged at delta " << d;
-        const auto e_a = cache.election_ball(v);
-        const auto e_b = fresh.election_ball(v);
-        ASSERT_TRUE(
-            std::equal(e_a.begin(), e_a.end(), e_b.begin(), e_b.end()))
-            << "election ball " << v << " diverged at delta " << d;
-      }
+      SCOPED_TRACE("delta " + std::to_string(d));
+      ASSERT_NO_FATAL_FAILURE(expect_matches_fresh_build(cache, rebuilt));
     }
   }
 }
 
 TEST(DynamicsDifferential, SparseRowGraphMatchesFreshBuildBeyondMatrixLimit) {
   // Same structural claim past the dense-matrix limit: apply_delta must
-  // keep the sharded sparse rows (and the cache built over them) identical
-  // to a cold rebuild. One sparse graph, many deltas — the n > 8192 build
-  // is the expensive part, the deltas are cheap.
+  // keep the sharded sparse rows, and caches at r = 1, 2, 3 built over
+  // them, identical to a cold rebuild. One sparse graph, many deltas.
   const int n = Graph::kAdjacencyMatrixLimit + 40;
   Rng rng(4242);
   std::set<std::pair<int, int>> present;
@@ -188,14 +199,16 @@ TEST(DynamicsDifferential, SparseRowGraphMatchesFreshBuildBeyondMatrixLimit) {
   Graph g = from_edge_list(
       n, std::vector<std::pair<int, int>>(present.begin(), present.end()));
   ASSERT_TRUE(g.has_sparse_rows());
-  NeighborhoodCache cache(g, 1);
+  std::vector<NeighborhoodCache> caches;
+  for (int r = 1; r <= 3; ++r) caches.emplace_back(g, r);
 
   std::vector<std::pair<int, int>> added, removed;
   for (int d = 0; d < 20; ++d) {
     random_delta(n, present, rng, added, removed);
     if (added.empty() && removed.empty()) continue;
     g.apply_delta(added, removed);
-    cache.apply_delta(g, touched_of(added, removed));
+    const std::vector<int> touched = touched_of(added, removed);
+    for (auto& cache : caches) cache.apply_delta(g, touched);
 
     const Graph rebuilt = from_edge_list(
         n, std::vector<std::pair<int, int>>(present.begin(), present.end()));
@@ -211,22 +224,44 @@ TEST(DynamicsDifferential, SparseRowGraphMatchesFreshBuildBeyondMatrixLimit) {
       ASSERT_TRUE(std::equal(wa.begin(), wa.end(), wb.begin(), wb.end()))
           << "sparse words of row " << v << " diverged at delta " << d;
     }
-    // Spot-check cached balls against a fresh bounded BFS (a full fresh
-    // cache per delta would dominate the test's runtime).
-    BfsScratch scratch(n);
-    std::vector<int> ball;
-    for (int v = 0; v < n; v += 509) {
-      scratch.k_hop_neighborhood(g, v, 1, ball);
-      const auto cached = cache.r_ball(v);
-      ASSERT_TRUE(std::equal(ball.begin(), ball.end(), cached.begin(),
-                             cached.end()))
-          << "ball " << v << " diverged at delta " << d;
-      // This graph is past the matrix limit, so the cache runs the
-      // implicit e-ball tier: apply_delta maintains sizes, not spans.
-      scratch.k_hop_neighborhood(g, v, 2 * 1 + 1, ball);
-      ASSERT_EQ(cache.election_ball_size(v), static_cast<int>(ball.size()))
-          << "e-ball size " << v << " diverged at delta " << d;
+    // Every vertex of every cache against a fresh build. This graph is
+    // past the matrix limit, so the caches run the implicit e-ball tier:
+    // apply_delta maintains e-ball sizes, not spans.
+    for (const auto& cache : caches) {
+      SCOPED_TRACE("r = " + std::to_string(cache.r()) + ", delta " +
+                   std::to_string(d));
+      ASSERT_NO_FATAL_FAILURE(expect_matches_fresh_build(cache, g));
     }
+  }
+}
+
+TEST(DynamicsDifferential, ChordOnAPathRecomputesExactlyTheTwoRReach) {
+  // The blast radius is tight, not just safe: one chord (a, b) added to a
+  // path makes a and b touched, and a (2r+1)-ball can change only if its
+  // owner is within 2r hops of them. Owners at exactly 2r+1 hops keep their
+  // ball (the chord lies at its rim), so last_invalidated() must be
+  // |reach(T, 2r)| = 2 (4r + 1) with the chord far from the path ends and
+  // from each other, and the cache must still equal a fresh build.
+  const int n = 120;
+  const int a = 30, b = 80;
+  for (int r = 1; r <= 3; ++r) {
+    SCOPED_TRACE("r = " + std::to_string(r));
+    std::vector<std::pair<int, int>> path;
+    for (int i = 0; i + 1 < n; ++i) path.emplace_back(i, i + 1);
+    Graph g = from_edge_list(n, path);
+    NeighborhoodCache cache(g, r);
+    const std::vector<std::pair<int, int>> chord = {{a, b}};
+    const std::vector<int> touched = {a, b};
+
+    g.apply_delta(chord, {});
+    cache.apply_delta(g, touched);
+    EXPECT_EQ(cache.last_invalidated(), 2 * (4 * r + 1));
+    ASSERT_NO_FATAL_FAILURE(expect_matches_fresh_build(cache, g));
+
+    g.apply_delta({}, chord);
+    cache.apply_delta(g, touched);
+    EXPECT_EQ(cache.last_invalidated(), 2 * (4 * r + 1));
+    ASSERT_NO_FATAL_FAILURE(expect_matches_fresh_build(cache, g));
   }
 }
 

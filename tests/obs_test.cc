@@ -482,6 +482,14 @@ TEST(ObsSchema, SimulationSnapshotCoversDecisionDomain) {
             static_cast<std::int64_t>(res.decisions));
   EXPECT_DOUBLE_EQ(reg.gauge_value("decision.total_observed"),
                    res.total_observed);
+  // The lockstep snapshot satisfies its own checked-in schema.
+  const std::string schema = read_file(
+      std::string(MHCA_SOURCE_DIR) + "/tools/metrics_schema_simulation.json");
+  ASSERT_FALSE(schema.empty());
+  const std::vector<std::string> violations =
+      obs::validate_metrics_snapshot(reg.to_json(), schema);
+  EXPECT_TRUE(violations.empty())
+      << "first violation: " << (violations.empty() ? "" : violations[0]);
 }
 
 }  // namespace
