@@ -40,10 +40,11 @@ int main() {
       for (LocalSolverKind solver :
            {LocalSolverKind::kExact, LocalSolverKind::kGreedy}) {
         DistributedPtasConfig cfg;
-        cfg.r = r;
-        cfg.max_mini_rounds = d;
-        cfg.local_solver = solver;
-        cfg.bnb_node_cap = 50'000;
+        cfg.solver.parallelism = 0;
+        cfg.solver.r = r;
+        cfg.solver.D = d;
+        cfg.solver.local_solver = solver;
+        cfg.solver.node_cap = 50'000;
         DistributedRobustPtas engine(ecg.graph(), cfg);
         const auto t0 = Clock::now();
         const DistributedPtasResult res = engine.run(w);

@@ -37,8 +37,8 @@ int main() {
       params.llr_max_strategy_len = kUsers;
       auto policy = make_policy(pk, params);
       SimulationConfig cfg;
-      cfg.slots = kSlots;
-      cfg.series_stride = 10;
+      cfg.run.slots = kSlots;
+      cfg.run.series_stride = 10;
       const SimulationResult res =
           Simulator(ecg, model, *policy, cfg).run();
       const std::size_t n = res.cum_expected.size();

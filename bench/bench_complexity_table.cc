@@ -63,7 +63,9 @@ int main() {
     const std::vector<double> w = model.mean_matrix();
 
     DistributedPtasConfig dcfg;
-    dcfg.bnb_node_cap = 20'000;
+    dcfg.solver.D = 0;
+    dcfg.solver.parallelism = 0;
+    dcfg.solver.node_cap = 20'000;
     DistributedRobustPtas engine(ecg.graph(), dcfg);
     auto t0 = Clock::now();
     const auto dres = engine.run(w);

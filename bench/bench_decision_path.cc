@@ -236,13 +236,14 @@ Cell run_cell(int users, int r, int channels, int decisions) {
   // Stage collection stays on for both engines: four steady_clock reads per
   // mini-round, far below measurement noise.
   DistributedPtasConfig seed_cfg;
-  seed_cfg.r = r;
+  seed_cfg.solver.D = 0;
+  seed_cfg.solver.r = r;
   seed_cfg.use_decision_cache = false;
   seed_cfg.collect_stage_times = true;
   // Pin solves to one thread on BOTH paths: the speedup column isolates the
   // caching infrastructure, not core count (the parallel fan-out is
   // exercised by decision_parallel_determinism_test instead).
-  seed_cfg.local_solve_parallelism = 1;
+  seed_cfg.solver.parallelism = 1;
   DistributedPtasConfig cached_cfg = seed_cfg;
   cached_cfg.use_decision_cache = true;
 
@@ -483,7 +484,7 @@ std::string json_of(const std::vector<Cell>& cells, int channels) {
                 "\"local_solve_parallelism\": 1, "
                 "\"hardware_threads\": %u},\n",
                 channels,
-                static_cast<long long>(DistributedPtasConfig{}.bnb_node_cap),
+                static_cast<long long>(kDefaultBnbNodeCap),
                 std::thread::hardware_concurrency());
   out += buf;
   out += "  \"results\": [\n";

@@ -81,9 +81,13 @@ Cell run_cell(const std::string& kind, const scenario::ParamMap& params,
                                 /*incremental=*/false);
   cell.vertices = inc.ecg().num_vertices();
 
+  // Both engines serial: the full-rebuild baseline's cache build on one
+  // worker, like the incremental pass it is compared against.
   DistributedPtasConfig cfg;
-  cfg.r = 2;
-  cfg.local_solve_parallelism = 1;
+  cfg.solver.D = 0;
+  cfg.solver.r = 2;
+  cfg.solver.parallelism = 1;
+  cfg.cache_build_parallelism = 1;
   auto inc_engine =
       std::make_unique<DistributedRobustPtas>(inc.ecg().graph(), cfg);
   const auto tc0 = Clock::now();
@@ -144,6 +148,7 @@ std::string json_of(const std::vector<Cell>& cells, int channels) {
   std::snprintf(buf, sizeof(buf),
                 "  \"config\": {\"channels\": %d, \"avg_degree\": 6.0, "
                 "\"r\": 2, \"weights\": \"uniform[0.05,1)\", "
+                "\"cache_build_workers\": 1, "
                 "\"full_mode\": \"rebuild G+H from scratch, fresh engine "
                 "(fresh NeighborhoodCache) per changed slot\"},\n",
                 channels);

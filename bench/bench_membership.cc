@@ -85,8 +85,8 @@ Cell run_cell(int users, int channels, double churn_rate,
   GaussianChannelModel model(users, channels, model_rng);
 
   net::NetConfig cfg;
-  cfg.r = 2;
-  cfg.D = 3;
+  cfg.solver.r = 2;
+  cfg.solver.D = 3;
   cfg.membership = net::MembershipMode::kViewSync;
 
   std::unique_ptr<dynamics::DynamicNetwork> dyn;

@@ -73,7 +73,8 @@ int main() {
   // Ours: CAB + distributed PTAS.
   auto policy = make_policy(PolicyKind::kCab);
   SimulationConfig cfg;
-  cfg.slots = kSlots;
+  cfg.run.series_stride = 1;
+  cfg.run.slots = kSlots;
   t0 = Clock::now();
   const SimulationResult ours = Simulator(ecg, model, *policy, cfg).run();
   const double ours_s =

@@ -37,7 +37,9 @@ Instance make_instance(int users) {
 void BM_DistributedPtas(benchmark::State& state) {
   const Instance in = make_instance(static_cast<int>(state.range(0)));
   DistributedPtasConfig cfg;
-  cfg.bnb_node_cap = 20'000;
+  cfg.solver.D = 0;
+  cfg.solver.parallelism = 0;
+  cfg.solver.node_cap = 20'000;
   DistributedRobustPtas engine(in.ecg->graph(), cfg);
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.run(in.weights));

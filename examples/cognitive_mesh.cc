@@ -38,11 +38,11 @@ int main() {
   auto policy = make_policy(PolicyKind::kCab);
 
   SimulationConfig cfg;
-  cfg.slots = 3000;
-  cfg.update_period = 10;  // decide once per 10 slots
-  cfg.bnb_node_cap = 20'000;
-  cfg.count_messages = true;
-  cfg.series_stride = 300;
+  cfg.run.slots = 3000;
+  cfg.run.update_period = 10;  // decide once per 10 slots
+  cfg.solver.node_cap = 20'000;
+  cfg.run.count_messages = true;
+  cfg.run.series_stride = 300;
   Simulator sim(ecg, spectrum, *policy, cfg);
   const SimulationResult res = sim.run();
 

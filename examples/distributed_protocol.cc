@@ -24,8 +24,8 @@ int main() {
   GaussianChannelModel model(kUsers, kChannels, rng);
 
   net::NetConfig cfg;
-  cfg.r = 2;
-  cfg.D = 4;
+  cfg.solver.r = 2;
+  cfg.solver.D = 4;
   net::DistributedRuntime runtime(ecg, model, cfg);
 
   std::cout << "=== Message-level Algorithm 2 (" << kUsers << " users x "

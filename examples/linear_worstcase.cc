@@ -42,11 +42,12 @@ int main() {
   for (const bool linear : {true, false}) {
     const Graph& h = linear ? road_h.graph() : mesh_h.graph();
     const std::vector<double>& w = linear ? road_w : mesh_w;
-    DistributedRobustPtas full(h, {});
+    DistributedRobustPtas full(h, {.solver = {.D = 0, .parallelism = 0}});
     const double complete_weight = full.run(w).weight;
     for (int d : {2, 4, 8, 0}) {
       DistributedPtasConfig cfg;
-      cfg.max_mini_rounds = d;
+      cfg.solver.parallelism = 0;
+      cfg.solver.D = d;
       DistributedRobustPtas engine(h, cfg);
       const DistributedPtasResult res = engine.run(w);
       table.row(linear ? "linear road" : "random mesh",

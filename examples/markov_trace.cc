@@ -45,7 +45,8 @@ int main() {
     params.llr_max_strategy_len = kUsers;
     auto policy = make_policy(kind, params);
     SimulationConfig cfg;
-    cfg.slots = kSlots;
+    cfg.run.series_stride = 1;
+    cfg.run.slots = kSlots;
     Simulator sim(ecg, trace, *policy, cfg);
     const SimulationResult res = sim.run();
     table.row(policy->name(),

@@ -38,8 +38,9 @@ int main() {
     params.epsilon = 0.05;
     auto policy = make_policy(kind, params);
     SimulationConfig cfg;
-    cfg.slots = kSlots;
-    cfg.seed = 99;
+    cfg.run.series_stride = 1;
+    cfg.run.slots = kSlots;
+    cfg.run.seed = 99;
     Simulator sim(ecg, model, *policy, cfg);
     const SimulationResult res = sim.run();
     const double est_err = std::abs(res.cumavg_estimated.back() -

@@ -1,17 +1,14 @@
-// Quickstart: the public API in ~60 lines.
+// Quickstart: the public API in ~40 lines.
 //
-// The primary entry point is the declarative Scenario API: describe the
-// whole experiment (topology x channel x policy x solver x run) as data,
-// and let ScenarioRunner build and drive it. The step-by-step facade
-// (ChannelAccessScheme) remains for callers that own the radio environment.
+// The entry point is the declarative Scenario API: describe the whole
+// experiment (topology x channel x policy x solver x run) as data, and let
+// ScenarioRunner build and drive it. A caller that owns the radio
+// environment implements it as a ChannelModel (channel/channel_model.h) and
+// runs a Simulator over it with runner.simulation_config().
 #include <iostream>
 
-#include "channel/gaussian.h"
-#include "core/channel_access.h"
-#include "graph/generators.h"
 #include "scenario/runner.h"
 #include "sim/optimum.h"
-#include "util/rng.h"
 #include "util/table.h"
 
 int main() {
@@ -52,25 +49,5 @@ seed = 7
   table.row("expected/optimal ratio",
             fixed(res.total_expected / 500.0 / opt.weight, 3));
   table.print(std::cout);
-
-  // --- Step-by-step mode: you own the radio environment. ---
-  Rng rng(7);
-  ConflictGraph network = random_geometric_avg_degree(20, 5.0, rng);
-  GaussianChannelModel environment(20, 8, rng);
-
-  ChannelAccessConfig cfg;  // compatibility shim over scenario::SolverSpec
-  cfg.num_channels = 8;
-  ChannelAccessScheme scheme(network, cfg);
-  for (std::int64_t t = 1; t <= 50; ++t) {
-    const Strategy& st = scheme.decide();
-    for (int node = 0; node < network.num_nodes(); ++node) {
-      const int chan = st.channel_of_node[static_cast<std::size_t>(node)];
-      if (chan == Strategy::kNoChannel) continue;  // node stays silent
-      // Transmit, then report the observed normalized data rate:
-      scheme.report(node, environment.sample(node, chan, t));
-    }
-  }
-  std::cout << "after 50 step-mode rounds the scheme tried "
-            << scheme.estimates().total_plays() << " (node, channel) plays\n";
   return 0;
 }

@@ -51,14 +51,15 @@ DistributedRobustPtas::DistributedRobustPtas(const Graph& h,
                                              DistributedPtasConfig cfg)
     : h_(h),
       cfg_(cfg),
-      exact_(cfg.bnb_node_cap),  // solves go through solve_with_scratch
+      exact_(cfg.solver.node_cap),  // solves go through solve_with_scratch
       scratch_(h.size()) {
-  MHCA_ASSERT(cfg_.r >= 1, "r must be at least 1");
-  MHCA_ASSERT(cfg_.max_mini_rounds >= 0, "negative mini-round budget");
-  MHCA_ASSERT(cfg_.local_solve_parallelism >= 0, "negative parallelism");
+  MHCA_ASSERT(cfg_.solver.r >= 1, "r must be at least 1");
+  MHCA_ASSERT(cfg_.solver.D >= 0, "negative mini-round budget");
+  MHCA_ASSERT(cfg_.solver.parallelism >= 0, "negative parallelism");
   MHCA_ASSERT(cfg_.cache_build_parallelism >= 0, "negative parallelism");
   if (cfg_.use_decision_cache) {
-    cache_ = NeighborhoodCache(h, cfg_.r, cfg_.cache_build_parallelism);
+    cache_ =
+        NeighborhoodCache(h, cfg_.solver.r, cfg_.cache_build_parallelism);
     // SoA election state is allocated once here and epoch-reset per
     // decision (see the header note); the graph's vertex count is fixed
     // for the engine's lifetime.
@@ -74,8 +75,8 @@ DistributedRobustPtas::DistributedRobustPtas(const Graph& h,
 
 int DistributedRobustPtas::ball_size(int v, int radius) {
   if (cache_.built()) {
-    if (radius == cfg_.r) return cache_.r_ball_size(v);
-    if (radius == 2 * cfg_.r + 1) return cache_.election_ball_size(v);
+    if (radius == cfg_.solver.r) return cache_.r_ball_size(v);
+    if (radius == 2 * cfg_.solver.r + 1) return cache_.election_ball_size(v);
   }
   auto& sizes = ball_size_cache_[radius];
   if (sizes.empty()) sizes.assign(static_cast<std::size_t>(h_.size()), -1);
@@ -87,7 +88,7 @@ int DistributedRobustPtas::ball_size(int v, int radius) {
 std::int64_t DistributedRobustPtas::weight_broadcast_messages(
     std::span<const int> prev_winners) {
   std::int64_t msgs = 0;
-  for (int v : prev_winners) msgs += ball_size(v, 2 * cfg_.r + 1);
+  for (int v : prev_winners) msgs += ball_size(v, 2 * cfg_.solver.r + 1);
   return msgs;
 }
 
@@ -95,7 +96,7 @@ void DistributedRobustPtas::elect_by_relaxation(
     std::span<const double> weights, const std::vector<VertexStatus>& status,
     std::vector<int>& leaders) {
   const int n = h_.size();
-  const int election_hops = 2 * cfg_.r + 1;
+  const int election_hops = 2 * cfg_.solver.r + 1;
   relax_.resize(static_cast<std::size_t>(n));
   relax_next_.resize(static_cast<std::size_t>(n));
   for (int v = 0; v < n; ++v)
@@ -268,7 +269,7 @@ void DistributedRobustPtas::elect_by_cache(
     // the BFS re-walk trades a negligible slice of election time for the
     // ~n·|J_{2r+1}| ints the explicit spans would occupy.
     const int blocker = scratch_.k_hop_find(
-        h_, v, 2 * cfg_.r + 1, [&](int u) {
+        h_, v, 2 * cfg_.solver.r + 1, [&](int u) {
           const std::uint64_t k = keys[u];
           return k > kv || (k == kv && u < v);
         });
@@ -366,7 +367,7 @@ void DistributedRobustPtas::gather_local_instances(
     if (cache_.built()) {
       ball = cache_.r_ball(leader);
     } else {
-      scratch_.k_hop_neighborhood(h_, leader, cfg_.r, ball_buf_);
+      scratch_.k_hop_neighborhood(h_, leader, cfg_.solver.r, ball_buf_);
       ball = ball_buf_;
     }
     for (const int v : ball)
@@ -385,7 +386,7 @@ void DistributedRobustPtas::solve_local_instances(
                  gather_offsets_[li + 1] - gather_offsets_[li]);
   };
 
-  if (cfg_.local_solver == LocalSolverKind::kGreedy) {
+  if (cfg_.solver.local_solver == LocalSolverKind::kGreedy) {
     for (std::size_t li = 0; li < leaders.size(); ++li)
       solve_results_[li] = greedy_.solve(h_, weights, instance(li));
     return;
@@ -408,7 +409,7 @@ void DistributedRobustPtas::solve_local_instances(
     return;
   }
 
-  int workers = cfg_.local_solve_parallelism;
+  int workers = cfg_.solver.parallelism;
   if (workers == 0) {
     workers = static_cast<int>(std::thread::hardware_concurrency());
     if (workers == 0) workers = 1;
@@ -456,7 +457,7 @@ DistributedPtasResult DistributedRobustPtas::run(
   MHCA_ASSERT(static_cast<int>(weights.size()) == n, "weight vector mismatch");
   MHCA_ASSERT(active.empty() || static_cast<int>(active.size()) == n,
               "activity mask mismatch");
-  const int r = cfg_.r;
+  const int r = cfg_.solver.r;
   const int election_hops = 2 * r + 1;
   const bool timed = cfg_.collect_stage_times;
 
@@ -511,7 +512,7 @@ DistributedPtasResult DistributedRobustPtas::run(
 
   int mini_round = 0;
   while (candidates > 0 &&
-         (cfg_.max_mini_rounds == 0 || mini_round < cfg_.max_mini_rounds)) {
+         (cfg_.solver.D == 0 || mini_round < cfg_.solver.D)) {
     ++mini_round;
     MiniRoundRecord rec;
     rec.mini_round = mini_round;
@@ -566,7 +567,7 @@ DistributedPtasResult DistributedRobustPtas::run(
       const int leader = leaders[li];
       const MwisResult& local = solve_results_[li];
       res.solver_nodes_explored += local.nodes_explored;
-      if (cfg_.local_solver == LocalSolverKind::kExact && !local.exact)
+      if (cfg_.solver.local_solver == LocalSolverKind::kExact && !local.exact)
         res.all_local_solves_exact = false;
       // Winners first, then every remaining candidate in the ball loses.
       for (int v : local.vertices) {

@@ -16,8 +16,8 @@
 //
 // Each mini-round is structured gather → solve → apply: candidate sets for
 // every leader are collected first, then all leaders' local solves run
-// (disjointness makes them embarrassingly parallel — `parallelism` fans
-// them across a thread pool with per-worker scratch, leader-order
+// (disjointness makes them embarrassingly parallel — `solver.parallelism`
+// fans them across a thread pool with per-worker scratch, leader-order
 // deterministic: results are applied sequentially in election order, so
 // winners, weights, and message traces are byte-identical at any
 // parallelism), then statuses/messages are updated.
@@ -60,31 +60,17 @@ namespace mhca {
 /// transient within-mini-round role of a Candidate, not a stored status.
 enum class VertexStatus : std::uint8_t { kCandidate, kWinner, kLoser };
 
-/// Which solver a LocalLeader runs on its r-hop candidate set.
-enum class LocalSolverKind { kExact, kGreedy };
-
+/// The lockstep engine's configuration: the solver knobs (`kind` and
+/// `epsilon` are not read — this engine *is* the distributed PTAS) plus
+/// the engine-only switches.
 struct DistributedPtasConfig {
-  int r = 2;                 ///< Paper's simulations use r = 2.
-  int max_mini_rounds = 0;   ///< D; 0 = run until every vertex is marked.
-  LocalSolverKind local_solver = LocalSolverKind::kExact;
-  /// Exact-local effort cap per solve. Tuned for the B&B search
-  /// (reductions + component split + refined bound): the typical local
-  /// solve completes exactly well under it, the hard first-mini-round
-  /// balls at r >= 3 fall back to the anytime contract (measured < 0.7%
-  /// decision-weight loss vs unlimited at n=800, r=3), and per-slot
-  /// decision latency stays bounded — the paper's robustness only needs a
-  /// β-approximate local oracle. Raise for offline/optimum-quality runs.
-  std::int64_t bnb_node_cap = kDefaultBnbNodeCap;
-  bool count_messages = false;          ///< Track flood sizes (costs BFS).
+  SolverSpec solver;
+  bool count_messages = false;  ///< Track flood sizes (costs BFS).
   /// Precompute ball structure once and reuse solver scratch across local
   /// solves. False = per-decision re-derivation exactly as the seed
   /// implementation (same results either way, slower).
   bool use_decision_cache = true;
-  /// Fan independent per-leader local solves of one mini-round across
-  /// worker threads (cached path, exact solver only). 0 = one worker per
-  /// hardware thread, 1 = inline. Deterministic at any setting.
-  int local_solve_parallelism = 0;
-  bool collect_stage_times = false;     ///< Accumulate per-stage timings.
+  bool collect_stage_times = false;  ///< Accumulate per-stage timings.
   /// Worker threads for the one-time NeighborhoodCache build (count-then-
   /// fill, byte-identical at any setting). 0 = MHCA_CACHE_BUILD_WORKERS or
   /// one per hardware thread, 1 = the serial single-pass build.

@@ -17,14 +17,48 @@
 namespace mhca {
 
 /// Default per-solve branch-and-bound effort cap shared by every decision
-/// path (lockstep engine, message-level runtime, simulator, facade). This is
-/// the ONLY place the default lives: DistributedPtasConfig, SimulationConfig,
-/// net::NetConfig, ChannelAccessConfig and scenario::SolverSpec all
-/// initialize from it, and scenario.cc static_asserts they stay in sync —
-/// the PR-2 drift (facade still at 200'000 while the solver moved to 2'000)
-/// cannot recur. Tuned for the B&B search; see
-/// DistributedPtasConfig::bnb_node_cap for the rationale.
+/// path (lockstep engine, message-level runtime, centralized oracles).
+/// Tuned for the B&B search (reductions + component split + refined
+/// bound): the typical local solve completes exactly well under it, the
+/// hard first-mini-round balls at r >= 3 fall back to the anytime contract
+/// (measured < 0.7% decision-weight loss vs unlimited at n=800, r=3), and
+/// per-slot decision latency stays bounded — the paper's robustness only
+/// needs a β-approximate local oracle. Raise for offline/optimum-quality
+/// runs.
 inline constexpr std::int64_t kDefaultBnbNodeCap = 2'000;
+
+/// Which MWIS oracle performs the strategy decision.
+enum class SolverKind {
+  kDistributedPtas,  ///< Algorithm 3 (lockstep engine) — the paper's scheme.
+  kCentralizedPtas,  ///< Centralized robust PTAS (§IV-B).
+  kGreedy,           ///< Global greedy heuristic.
+  kExact,            ///< Exact branch-and-bound (small instances / optimum).
+};
+
+/// Which solver a LocalLeader runs on its r-hop candidate set.
+enum class LocalSolverKind { kExact, kGreedy };
+
+/// The strategy-decision oracle, fully specified: the paper's r, D, the
+/// β-approximate local MWIS oracle and ε for the centralized PTAS. The one
+/// declaration of every solver knob — the lockstep engine, the simulator,
+/// the message-level runtime and the scenario layer all embed it by value.
+/// Each consumer reads the fields it needs: the engine and the runtime
+/// ignore `kind` and `epsilon`, the runtime also `parallelism`.
+struct SolverSpec {
+  SolverKind kind = SolverKind::kDistributedPtas;
+  int r = 2;  ///< Local-neighborhood radius (paper simulations: r = 2).
+  int D = 4;  ///< Mini-round budget per decision (0 = until all marked).
+  LocalSolverKind local_solver = LocalSolverKind::kExact;
+  std::int64_t node_cap = kDefaultBnbNodeCap;  ///< Per-solve B&B effort cap.
+  /// Threads for per-leader local solves within one decision (0 = one per
+  /// hardware thread, 1 = inline). Deterministic at any setting. Inline by
+  /// default: simulations usually already fan out across replications, and
+  /// nesting both oversubscribes.
+  int parallelism = 1;
+  double epsilon = 1.0;  ///< ε for the centralized robust PTAS.
+
+  bool operator==(const SolverSpec&) const = default;
+};
 
 /// Result of one MWIS solve.
 struct MwisResult {

@@ -1,4 +1,6 @@
-// Declarative fault-injection profile for the control channel.
+// Declarative fault-injection profile for the control channel — the one
+// declaration of the fault knobs: net::NetConfig and scenario::NetSpec embed
+// it by value.
 //
 // Every fault decision is a pure hash of (seed, flood counter, vertex, salt)
 // — no hidden RNG state — so a given (seed, schedule) pair replays the exact
@@ -35,6 +37,8 @@ struct FaultProfile {
   double reorder_prob = 0.0;  ///< Deferred-delivery probability.
   int delay_slots_max = 0;    ///< Max deferral in slots (0 = same flood).
   std::uint64_t seed = 0;     ///< Seeds every fault decision.
+
+  bool operator==(const FaultProfile&) const = default;
 
   bool any() const {
     return drop_prob > 0.0 || dup_prob > 0.0 || reorder_prob > 0.0;

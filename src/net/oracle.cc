@@ -14,7 +14,7 @@ ConvergenceReport check_convergence(const DistributedRuntime& rt,
               "convergence is a view-sync notion (omniscient tables are "
               "correct by construction)");
   ConvergenceReport rep;
-  const int horizon = 2 * rt.config().r + 1;
+  const int horizon = 2 * rt.config().solver.r + 1;
   BfsScratch scratch(h.size());
   std::vector<int> ball;
   auto sorted_neighbors = [&](int v) {
@@ -85,13 +85,7 @@ ConvergenceReport check_convergence(const DistributedRuntime& rt,
 
 std::vector<int> lockstep_decision(const DistributedRuntime& rt,
                                    const Graph& h, std::int64_t t_next) {
-  const NetConfig& cfg = rt.config();
-  DistributedPtasConfig ecfg;
-  ecfg.r = cfg.r;
-  ecfg.max_mini_rounds = cfg.D;
-  ecfg.local_solver = cfg.local_solver;
-  ecfg.bnb_node_cap = cfg.bnb_node_cap;
-  DistributedRobustPtas engine(h, ecfg);
+  DistributedRobustPtas engine(h, {.solver = rt.config().solver});
   const int k_arms = h.size();
   std::vector<double> weights(static_cast<std::size_t>(h.size()), 0.0);
   std::vector<char> active(static_cast<std::size_t>(h.size()), 0);

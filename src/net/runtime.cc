@@ -9,20 +9,6 @@
 
 namespace mhca::net {
 
-namespace {
-
-FaultProfile profile_of(const NetConfig& cfg) {
-  FaultProfile f;
-  f.drop_prob = cfg.drop_prob;
-  f.dup_prob = cfg.dup_prob;
-  f.reorder_prob = cfg.reorder_prob;
-  f.delay_slots_max = cfg.delay_slots_max;
-  f.seed = cfg.drop_seed;
-  return f;
-}
-
-}  // namespace
-
 DistributedRuntime::DistributedRuntime(const ExtendedConflictGraph& ecg,
                                        const ChannelModel& model,
                                        NetConfig cfg)
@@ -39,13 +25,13 @@ DistributedRuntime::DistributedRuntime(const ExtendedConflictGraph& ecg,
     : ecg_(ecg),
       model_(model),
       cfg_(cfg),
-      channel_(ecg.graph(), profile_of(cfg)),
-      exact_(cfg.bnb_node_cap),
+      channel_(ecg.graph(), cfg.faults),
+      exact_(cfg.solver.node_cap),
       transport_(transport) {
   MHCA_ASSERT(ecg.num_nodes() == model.num_nodes() &&
                   ecg.num_channels() == model.num_channels(),
               "graph/model dimension mismatch");
-  MHCA_ASSERT(cfg_.r >= 1, "r must be at least 1");
+  MHCA_ASSERT(cfg_.solver.r >= 1, "r must be at least 1");
   channel_.set_mtu(cfg_.mtu);
   // Sharding replicates agent state and replays every flood in canonical
   // order — which only lines up with a single-process run when no phase
@@ -60,7 +46,8 @@ DistributedRuntime::DistributedRuntime(const ExtendedConflictGraph& ecg,
   // change; a hello the wire re-delivers out of order would arrive after
   // the finalize. Only view-sync membership absorbs late hellos.
   MHCA_ASSERT(cfg_.membership == MembershipMode::kViewSync ||
-                  (cfg_.reorder_prob == 0.0 && cfg_.delay_slots_max == 0),
+                  (cfg_.faults.reorder_prob == 0.0 &&
+                   cfg_.faults.delay_slots_max == 0),
               "reorder_prob/delay_slots_max require membership = view_sync "
               "(omniscient discovery cannot absorb a late hello)");
   // Tag this thread's trace events with the shard index so a multi-process
@@ -68,17 +55,15 @@ DistributedRuntime::DistributedRuntime(const ExtendedConflictGraph& ecg,
   // process track per shard. Purely observational.
   obs::set_current_shard(transport_ != nullptr ? transport_->shard_index()
                                                : 0);
-  keepalive_interval_ = std::max(1, cfg_.hello_timeout_slots - 1);
+  keepalive_interval_ = std::max(1, cfg_.liveness.hello_timeout_slots - 1);
   PolicyParams params = cfg_.policy_params;
   if (cfg_.policy == PolicyKind::kLlr && params.llr_max_strategy_len <= 1)
     params.llr_max_strategy_len = ecg.num_nodes();
   policy_ = make_policy(cfg_.policy, params);
 
-  const LivenessParams liveness{cfg_.hello_timeout_slots,
-                                cfg_.hello_max_retries, cfg_.backoff_base};
   agents_.reserve(static_cast<std::size_t>(ecg.num_vertices()));
   for (int v = 0; v < ecg.num_vertices(); ++v)
-    agents_.emplace_back(v, cfg_.r, cfg_.membership, liveness);
+    agents_.emplace_back(v, cfg_.solver.r, cfg_.membership, cfg_.liveness);
   discover();
 }
 
@@ -87,11 +72,7 @@ void DistributedRuntime::set_fault_profile(const FaultProfile& faults) {
                   (faults.reorder_prob == 0.0 && faults.delay_slots_max == 0),
               "reorder_prob/delay_slots_max require membership = view_sync");
   channel_.set_fault_profile(faults);
-  cfg_.drop_prob = faults.drop_prob;
-  cfg_.dup_prob = faults.dup_prob;
-  cfg_.reorder_prob = faults.reorder_prob;
-  cfg_.delay_slots_max = faults.delay_slots_max;
-  cfg_.drop_seed = faults.seed;
+  cfg_.faults = faults;
 }
 
 Message DistributedRuntime::make_hello(int v) const {
@@ -167,7 +148,7 @@ std::vector<int> DistributedRuntime::exchange_and_replay(
 
 void DistributedRuntime::discover() {
   const Graph& h = ecg_.graph();
-  const int horizon = 2 * cfg_.r + 1;
+  const int horizon = 2 * cfg_.solver.r + 1;
   for (int v = 0; v < h.size(); ++v) {
     const auto nb = h.neighbors(v);
     agents_[static_cast<std::size_t>(v)].set_own_neighbors(
@@ -203,7 +184,7 @@ void DistributedRuntime::on_topology_change(
               "sharded runs support static graphs only (churn rediscovery "
               "would need its own exchange barrier)");
   const Graph& h = ecg_.graph();
-  const int horizon = 2 * cfg_.r + 1;
+  const int horizon = 2 * cfg_.solver.r + 1;
   MHCA_ASSERT(static_cast<int>(active_vertices.size()) == h.size(),
               "activity mask mismatch");
   for (std::size_t v = 0; v < agents_.size(); ++v)
@@ -295,7 +276,7 @@ void DistributedRuntime::on_wire_change(
 }
 
 void DistributedRuntime::flood_pending_hellos(bool include_keepalives) {
-  const int horizon = 2 * cfg_.r + 1;
+  const int horizon = 2 * cfg_.solver.r + 1;
   for (auto& a : agents_) {
     if (!a.active()) continue;
     bool send = a.take_hello_pending();
@@ -311,7 +292,7 @@ void DistributedRuntime::flood_pending_hellos(bool include_keepalives) {
 }
 
 void DistributedRuntime::membership_phase() {
-  const int horizon = 2 * cfg_.r + 1;
+  const int horizon = 2 * cfg_.solver.r + 1;
   obs::TraceRecorder* const tr = obs::trace();
   obs::ScopedSpan span(tr, obs::kTidRuntime, "net.hello");
   // Delayed deliveries of earlier slots land first: the membership phase is
@@ -388,7 +369,7 @@ RuntimeCounters DistributedRuntime::counters() const {
 NetRoundResult DistributedRuntime::step() {
   ++t_;
   const int k_arms = ecg_.num_vertices();
-  const int horizon = 2 * cfg_.r + 1;
+  const int horizon = 2 * cfg_.solver.r + 1;
   const bool view_sync = cfg_.membership == MembershipMode::kViewSync;
 
   obs::TraceRecorder* const tr = obs::trace();
@@ -428,13 +409,13 @@ NetRoundResult DistributedRuntime::step() {
 
   // --- D mini-rounds of Algorithm 3. ---
   MwisSolver& local_solver =
-      cfg_.local_solver == LocalSolverKind::kExact
+      cfg_.solver.local_solver == LocalSolverKind::kExact
           ? static_cast<MwisSolver&>(exact_)
           : static_cast<MwisSolver&>(greedy_);
   NetRoundResult out;
   out.round = t_;
   int mr = 0;
-  while (cfg_.D == 0 || mr < cfg_.D) {
+  while (cfg_.solver.D == 0 || mr < cfg_.solver.D) {
     bool any_candidate = false;
     for (const auto& a : agents_) {
       if (a.status() == VertexStatus::kCandidate) {
@@ -517,11 +498,11 @@ NetRoundResult DistributedRuntime::step() {
           det.origin = v;
           det.round = t_;
           det.statuses =
-              cfg_.local_solver == LocalSolverKind::kExact
+              cfg_.solver.local_solver == LocalSolverKind::kExact
                   ? agents_[static_cast<std::size_t>(v)].lead(exact_,
                                                               lead_scratch_)
                   : agents_[static_cast<std::size_t>(v)].lead(local_solver);
-          frames.push_back(make_frame(det, 3 * cfg_.r + 2));
+          frames.push_back(make_frame(det, 3 * cfg_.solver.r + 2));
         }
         exchange_and_replay(std::move(frames), deliver,
                             [this](const Message& det) {
@@ -536,16 +517,16 @@ NetRoundResult DistributedRuntime::step() {
       det.round = t_;
       if (view_sync) det.view = agents_[static_cast<std::size_t>(v)].view();
       det.statuses =
-          cfg_.local_solver == LocalSolverKind::kExact
+          cfg_.solver.local_solver == LocalSolverKind::kExact
               ? agents_[static_cast<std::size_t>(v)].lead(exact_,
                                                           lead_scratch_)
               : agents_[static_cast<std::size_t>(v)].lead(local_solver);
       agents_[static_cast<std::size_t>(v)].on_determination(det);
       // 3r+2: winner-adjacent losers sit up to r+1 hops from the leader and
       // must reach every holder of their status (2r+1 further hops).
-      channel_.flood(det, 3 * cfg_.r + 2, deliver);
+      channel_.flood(det, 3 * cfg_.solver.r + 2, deliver);
     }
-    channel_.charge_timeslots(3 * cfg_.r + 2);
+    channel_.charge_timeslots(3 * cfg_.solver.r + 2);
   }
   out.mini_rounds = mr;
 

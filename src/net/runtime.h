@@ -36,43 +36,38 @@
 #include "graph/extended_graph.h"
 #include "mwis/branch_and_bound.h"
 #include "mwis/greedy.h"
+#include "mwis/mwis.h"
 #include "net/agent.h"
 #include "net/control_channel.h"
+#include "net/faults.h"
 #include "net/transport.h"
 #include "net/view.h"
 
 namespace mhca::net {
 
+/// The runtime's configuration. Every knob is declared once elsewhere and
+/// embedded by value: the solver knobs in SolverSpec (r, D, local solver
+/// and node cap are read; kind, parallelism and epsilon are not — the
+/// runtime *is* the distributed PTAS, one agent at a time), the fault
+/// plane in FaultProfile and the liveness knobs in LivenessParams.
 struct NetConfig {
-  int r = 2;
-  int D = 4;  ///< Mini-rounds per decision; 0 = run until all marked.
+  SolverSpec solver;
   PolicyKind policy = PolicyKind::kCab;
   PolicyParams policy_params{};
-  LocalSolverKind local_solver = LocalSolverKind::kExact;
-  /// Per-solve effort cap; mirrors DistributedPtasConfig::bnb_node_cap so
-  /// runtime and lockstep engine take identical decisions.
-  std::int64_t bnb_node_cap = kDefaultBnbNodeCap;
+  /// Control-channel fault injection (net/faults.h). The protocol's
+  /// independence guarantee assumes a clean wire — see ControlChannel.
+  FaultProfile faults;
+  /// kViewSync: no omniscient delta feed — liveness from stat-carrying
+  /// hellos with timeout + bounded retry + exponential backoff, membership
+  /// epochs as gossiped ViewIds. Required when faults.reorder_prob > 0 or
+  /// faults.delay_slots_max > 0 (omniscient discovery cannot absorb a late
+  /// hello).
+  MembershipMode membership = MembershipMode::kOmniscient;
+  LivenessParams liveness;  ///< View-sync timeouts, retries and backoff.
   /// MTU for fragment accounting and the UDP transport's datagram size
   /// (net/wire.h). Every flood's airtime is billed in encoded bytes and in
   /// the MTU fragments a socket transport would actually send.
   int mtu = wire::kDefaultMtu;
-  // --- Fault-injection plane (net/faults.h; all seeded by drop_seed) ---
-  /// Control-channel reception failure probability (the protocol's
-  /// independence guarantee assumes 0 — see ControlChannel).
-  double drop_prob = 0.0;
-  std::uint64_t drop_seed = 0;
-  double dup_prob = 0.0;      ///< Duplicate-delivery probability.
-  double reorder_prob = 0.0;  ///< Deferred-delivery probability.
-  int delay_slots_max = 0;    ///< Max deferral in slots (0 = same flood).
-  // --- Membership (net/view.h) ---
-  /// kViewSync: no omniscient delta feed — liveness from stat-carrying
-  /// hellos with timeout + bounded retry + exponential backoff, membership
-  /// epochs as gossiped ViewIds. Required when reorder_prob > 0 or
-  /// delay_slots_max > 0 (omniscient discovery cannot absorb a late hello).
-  MembershipMode membership = MembershipMode::kOmniscient;
-  int hello_timeout_slots = 4;  ///< Silence (slots) before suspicion.
-  int hello_max_retries = 3;    ///< Probes before eviction.
-  int backoff_base = 2;         ///< Probe k waits backoff_base^k slots.
 };
 
 struct NetRoundResult {

@@ -43,4 +43,15 @@ enum class MembershipMode : std::uint8_t {
   kViewSync,
 };
 
+/// Liveness knobs of the view-synchronous membership layer — their one
+/// declaration: net::NetConfig and scenario::NetSpec embed it by value, and
+/// the runtime hands it to every agent unchanged.
+struct LivenessParams {
+  int hello_timeout_slots = 4;  ///< Silence (slots) before suspicion.
+  int hello_max_retries = 3;    ///< Probes before eviction.
+  int backoff_base = 2;         ///< Probe k waits backoff_base^k slots.
+
+  bool operator==(const LivenessParams&) const = default;
+};
+
 }  // namespace mhca::net

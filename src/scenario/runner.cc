@@ -23,45 +23,13 @@ std::unique_ptr<ChannelModel> build_channel(const Scenario& s, int num_nodes,
 }  // namespace
 
 net::NetConfig to_net_config(const Scenario& s, int num_nodes) {
-  net::NetConfig cfg;
-  cfg.r = s.solver.r;
-  cfg.D = s.solver.D;
-  cfg.policy = policy_kind_from_string(s.policy.kind);
-  cfg.policy_params = builtin_policy_params(s.policy.params, num_nodes);
-  cfg.local_solver = s.solver.local_solver;
-  cfg.bnb_node_cap = s.solver.node_cap;
-  cfg.drop_prob = s.net.drop_prob;
-  cfg.drop_seed = s.net.drop_seed;
-  cfg.dup_prob = s.net.dup_prob;
-  cfg.reorder_prob = s.net.reorder_prob;
-  cfg.delay_slots_max = s.net.delay_slots_max;
-  cfg.membership = membership_mode_from_string(s.net.membership);
-  cfg.hello_timeout_slots = s.net.hello_timeout_slots;
-  cfg.hello_max_retries = s.net.hello_max_retries;
-  cfg.backoff_base = s.net.backoff_base;
-  cfg.mtu = s.net.mtu;
-  return cfg;
-}
-
-ChannelAccessConfig to_channel_access_config(const Scenario& s,
-                                             int num_nodes) {
-  ChannelAccessConfig cfg;
-  cfg.num_channels = s.num_channels;
-  cfg.policy = policy_kind_from_string(s.policy.kind);
-  cfg.policy_params = builtin_policy_params(s.policy.params, num_nodes);
-  cfg.solver = s.solver.kind;
-  cfg.r = s.solver.r;
-  cfg.D = s.solver.D;
-  cfg.local_solver = s.solver.local_solver;
-  cfg.bnb_node_cap = s.solver.node_cap;
-  cfg.ptas_epsilon = s.solver.epsilon;
-  cfg.local_solve_parallelism = s.solver.parallelism;
-  cfg.timing = s.timing;
-  cfg.update_period = s.run.update_period;
-  cfg.seed = s.run.seed;
-  cfg.count_messages = s.run.count_messages;
-  cfg.series_stride = to_simulation_config(s).series_stride;
-  return cfg;
+  return {.solver = s.solver,
+          .policy = policy_kind_from_string(s.policy.kind),
+          .policy_params = builtin_policy_params(s.policy.params, num_nodes),
+          .faults = s.net.faults,
+          .membership = membership_mode_from_string(s.net.membership),
+          .liveness = s.net.liveness,
+          .mtu = s.net.mtu};
 }
 
 std::uint64_t dynamics_seed_of(const Scenario& s, std::uint64_t base_seed) {
@@ -85,20 +53,8 @@ ScenarioRunner::Parts ScenarioRunner::make_parts(Scenario s) {
   Rng rng(s.run.seed);
   ConflictGraph network =
       topology_registry().create(s.topology.kind, s.topology.params, rng);
-  std::unique_ptr<ChannelModel> model;
-  if (!s.channel.kind.empty())
-    model = build_channel(s, network.num_nodes(), rng);
-  return Parts{std::move(s), std::move(network), std::move(model)};
-}
-
-ScenarioRunner::Parts ScenarioRunner::make_parts(Scenario s,
-                                                 ConflictGraph network) {
-  validate_fields(s);
-  std::unique_ptr<ChannelModel> model;
-  if (!s.channel.kind.empty()) {
-    Rng rng(s.run.seed);
-    model = build_channel(s, network.num_nodes(), rng);
-  }
+  std::unique_ptr<ChannelModel> model =
+      build_channel(s, network.num_nodes(), rng);
   return Parts{std::move(s), std::move(network), std::move(model)};
 }
 
@@ -113,22 +69,6 @@ ScenarioRunner::ScenarioRunner(Parts parts)
 
 ScenarioRunner::ScenarioRunner(Scenario s)
     : ScenarioRunner(make_parts(std::move(s))) {}
-
-ScenarioRunner::ScenarioRunner(Scenario s, ConflictGraph network)
-    : ScenarioRunner(make_parts(std::move(s), std::move(network))) {}
-
-const ChannelModel& ScenarioRunner::model() const {
-  MHCA_ASSERT(model_ != nullptr,
-              "scenario has no built channel model ([channel] kind is empty)");
-  return *model_;
-}
-
-SimulationResult ScenarioRunner::run() const {
-  if (!model_)
-    throw ScenarioError(
-        "scenario has no channel model; run_with() an external one");
-  return run_with(*model_);
-}
 
 dynamics::DynamicNetwork ScenarioRunner::make_dynamic_network(
     std::uint64_t base_seed) const {
@@ -147,25 +87,17 @@ dynamics::DynamicNetwork ScenarioRunner::make_dynamic_network(
   return dyn;
 }
 
-ChannelAccessScheme ScenarioRunner::make_scheme() const {
-  if (is_dynamic(s_))
-    throw ScenarioError(
-        "make_scheme() drives the static step API; dynamic scenarios run "
-        "through run()/run_net() (set dynamics.kind=static to step by hand)");
-  return ChannelAccessScheme(
-      network_, to_channel_access_config(s_, network_.num_nodes()));
-}
-
-SimulationResult ScenarioRunner::run_with(const ChannelModel& model) const {
+SimulationResult ScenarioRunner::run() const {
   if (is_dynamic(s_)) {
     // Each run gets a fresh topology trajectory from slot 1: the dynamic
     // network copies this runner's base graph, so repeated runs (and the
     // runner's own components) never see a half-evolved topology.
     dynamics::DynamicNetwork dyn = make_dynamic_network(s_.run.seed);
-    Simulator sim(dyn.ecg(), model, *policy_, to_simulation_config(s_), &dyn);
+    Simulator sim(dyn.ecg(), *model_, *policy_, to_simulation_config(s_),
+                  &dyn);
     return sim.run();
   }
-  Simulator sim(ecg_, model, *policy_, to_simulation_config(s_));
+  Simulator sim(ecg_, *model_, *policy_, to_simulation_config(s_));
   return sim.run();
 }
 
@@ -174,8 +106,6 @@ ReplicationReport ScenarioRunner::replicate() const {
     throw ScenarioError(
         "replicate() needs replication.replications >= 1 (got " +
         std::to_string(s_.replication.replications) + ")");
-  if (s_.channel.kind.empty())
-    throw ScenarioError("replicate() needs a scenario channel model");
   const Scenario& s = s_;
   const ExtendedConflictGraph& ecg = ecg_;
   const ConflictGraph& network = network_;
@@ -191,7 +121,7 @@ ReplicationReport ScenarioRunner::replicate() const {
     const std::unique_ptr<ChannelModel> model =
         build_channel(s, network.num_nodes(), rng);
     SimulationConfig cfg = to_simulation_config(s);
-    cfg.seed = seed;
+    cfg.run.seed = seed;
     if (is_dynamic(s)) {
       dynamics::DynamicNetwork dyn = self.make_dynamic_network(seed);
       Simulator sim(dyn.ecg(), *model, policy, cfg, &dyn);
@@ -227,8 +157,6 @@ NetRunSummary ScenarioRunner::run_net_sharded(
 }
 
 NetRunSummary ScenarioRunner::run_net_impl(net::Transport* transport) const {
-  if (!model_)
-    throw ScenarioError("run_net() needs a scenario channel model");
   if (s_.run.update_period != 1)
     throw ScenarioError(
         "run_net() decides every round and does not implement "

@@ -2,21 +2,20 @@
 //
 // Construction resolves the scenario's registry keys into live components:
 // master Rng(run.seed) -> topology generator -> extended conflict graph ->
-// channel model -> policy. One runner then drives any of the repo's four
+// channel model -> policy. One runner then drives any of the repo's
 // execution engines over those components:
 //
 //   run()        lockstep Simulator (Algorithm 2, the benchmarks' engine)
-//   run_with(m)  same, against an externally owned ChannelModel (the facade
-//                runs its batch mode through the identical scenario-derived
-//                SimulationConfig over its own graph/policy)
 //   replicate()  multi-seed replication harness (fresh channel realization
 //                per seed, seed-order-deterministic thread pool)
 //   run_net()    message-level protocol runtime (src/net), one Algorithm-2
 //                round per slot
 //
-// All four read their knobs from the same Scenario (one SolverSpec), so a
-// decision taken by run() and run_net() on the same scenario is identical —
-// asserted by tests/scenario_test.cc.
+// All of them read their knobs from the same Scenario (one SolverSpec), so
+// a decision taken by run() and run_net() on the same scenario is identical
+// — asserted by tests/scenario_test.cc. A caller that owns its radio
+// environment plugs it in as a ChannelModel (channel/channel_model.h) and
+// drives a Simulator with simulation_config().
 #pragma once
 
 #include <cstdint>
@@ -25,9 +24,9 @@
 
 #include "bandit/policy.h"
 #include "channel/channel_model.h"
-#include "core/channel_access.h"
 #include "graph/conflict_graph.h"
 #include "graph/extended_graph.h"
+#include "mwis/distributed_ptas.h"
 #include "net/runtime.h"
 #include "scenario/scenario.h"
 #include "sim/replication.h"
@@ -73,17 +72,10 @@ struct NetRunSummary {
 };
 
 /// The net::NetConfig a scenario denotes (policy must be a built-in kind;
-/// `num_nodes` backs LLR's L-defaults-to-N rule). The runtime implements the
-/// distributed protocol, so solver.kind is not consulted. [net] drop_prob /
-/// drop_seed ride along, so message-loss runs are declarative.
+/// `num_nodes` backs LLR's L-defaults-to-N rule). The solver spec and the
+/// [net] fault and liveness structs are copied whole; the runtime
+/// implements the distributed protocol, so solver.kind is not consulted.
 net::NetConfig to_net_config(const Scenario& s, int num_nodes);
-
-/// The ChannelAccessConfig a scenario denotes — the compat-shim face of the
-/// same SolverSpec/RunSpec single source of truth, for callers on the
-/// facade's step API (decide()/report() against a user-owned radio
-/// environment). The policy must be a built-in kind.
-ChannelAccessConfig to_channel_access_config(const Scenario& s,
-                                             int num_nodes);
 
 /// The dynamics seed a run derives from `base_seed` (the run seed, or one
 /// replication's seed): dynamics.seed when pinned, else a fixed mix of
@@ -93,19 +85,14 @@ std::uint64_t dynamics_seed_of(const Scenario& s, std::uint64_t base_seed);
 class ScenarioRunner {
  public:
   /// Build every component from the registries. Throws ScenarioError with
-  /// the offending key/name on any unknown kind or parameter.
+  /// the offending key/name on any unknown kind or parameter, or an
+  /// out-of-range field (validate_fields).
   explicit ScenarioRunner(Scenario s);
-
-  /// Use an externally built network instead of the topology spec (for
-  /// callers that own their graph). The channel spec may be empty, in which
-  /// case only run_with() is available.
-  ScenarioRunner(Scenario s, ConflictGraph network);
 
   const Scenario& scenario() const { return s_; }
   const ConflictGraph& network() const { return network_; }
   const ExtendedConflictGraph& extended_graph() const { return ecg_; }
-  bool has_model() const { return model_ != nullptr; }
-  const ChannelModel& model() const;
+  const ChannelModel& model() const { return *model_; }
   const IndexPolicy& policy() const { return *policy_; }
 
   /// The configs this scenario denotes, for callers that drive an engine
@@ -114,14 +101,11 @@ class ScenarioRunner {
     return to_simulation_config(s_);
   }
   DistributedPtasConfig engine_config() const {
-    return s_.solver.engine_config(s_.run.count_messages);
+    return {.solver = s_.solver, .count_messages = s_.run.count_messages};
   }
 
   /// One full simulation of the scenario (its channel model, its seed).
   SimulationResult run() const;
-
-  /// One full simulation against an external channel model.
-  SimulationResult run_with(const ChannelModel& model) const;
 
   /// Replicate the scenario across replication.replications seeds: each
   /// seed gets a fresh channel realization on the fixed topology. Requires
@@ -143,12 +127,6 @@ class ScenarioRunner {
   /// net.transport = udp). The transport must outlive the call.
   NetRunSummary run_net_sharded(net::Transport& transport) const;
 
-  /// The step-API handle this scenario denotes: a ChannelAccessScheme over
-  /// this runner's network, configured from the same SolverSpec — for
-  /// user-owned radio environments that call decide()/report() themselves
-  /// while describing everything else declaratively. Static scenarios only.
-  ChannelAccessScheme make_scheme() const;
-
   /// Build this scenario's dynamic topology driver seeded from `base_seed`
   /// (see dynamics_seed_of). One driver per run; requires is_dynamic().
   dynamics::DynamicNetwork make_dynamic_network(
@@ -160,7 +138,6 @@ class ScenarioRunner {
   /// Shared body of run_net / run_net_sharded (transport null = classic).
   NetRunSummary run_net_impl(net::Transport* transport) const;
   static Parts make_parts(Scenario s);
-  static Parts make_parts(Scenario s, ConflictGraph network);
 
   Scenario s_;
   ConflictGraph network_;

@@ -2,12 +2,19 @@
 //
 // A Scenario names a topology (generator + params), a channel model, a
 // learning policy, a solver spec (oracle, r, D, local solver, node cap,
-// parallelism), timing/replication/seed settings. Components are referenced
-// by registry string keys (scenario/registries.h), so the full evaluation
-// grid of the paper — channels x policies x topologies x r/D ablations — is
-// data, not code: ScenarioRunner (scenario/runner.h) turns any Scenario into
-// a running experiment, and every engine in the repo (facade, simulator,
-// replication harness, message-level net runtime) is expressed through it.
+// parallelism, ε), timing/replication/seed settings. Components are
+// referenced by registry string keys (scenario/registries.h), so the full
+// evaluation grid of the paper — channels x policies x topologies x r/D
+// ablations — is data, not code: ScenarioRunner (scenario/runner.h) turns
+// any Scenario into a running experiment, and every engine in the repo
+// (simulator, replication harness, message-level net runtime) is expressed
+// through it.
+//
+// The knob structs are the engines' own, embedded by value: SolverSpec
+// (mwis/mwis.h), RunSpec (sim/config.h), RoundTiming (sim/timing.h), and
+// inside NetSpec the net layer's FaultProfile and LivenessParams. Each knob
+// is declared once, so the conversions below copy whole structs and nothing
+// can drift.
 //
 // Scenarios round-trip through a flat `key = value` text format with
 // [section]s (no external deps); see src/scenario/README.md for the spec.
@@ -19,9 +26,10 @@
 #include <string>
 
 #include "bandit/policy.h"
-#include "mwis/distributed_ptas.h"
 #include "mwis/mwis.h"
+#include "net/faults.h"
 #include "net/view.h"
+#include "net/wire.h"
 #include "scenario/params.h"
 #include "sim/config.h"
 #include "sim/timing.h"
@@ -34,41 +42,6 @@ struct ComponentSpec {
   ParamMap params;
 
   bool operator==(const ComponentSpec&) const = default;
-};
-
-/// The strategy-decision oracle, fully specified. Single source of truth
-/// for solver knobs across every decision path: conversions below stamp it
-/// into SimulationConfig / DistributedPtasConfig / net::NetConfig, and
-/// scenario.cc static_asserts that all default values agree with
-/// kDefaultBnbNodeCap and with each other (the PR-2 drift guard).
-struct SolverSpec {
-  SolverKind kind = SolverKind::kDistributedPtas;
-  int r = 2;                ///< Local-neighborhood radius.
-  int D = 4;                ///< Mini-round budget (0 = until all marked).
-  LocalSolverKind local_solver = LocalSolverKind::kExact;
-  std::int64_t node_cap = kDefaultBnbNodeCap;  ///< Per-solve B&B effort cap.
-  /// Threads for per-leader local solves within one decision (0 = one per
-  /// hardware thread, 1 = inline). Deterministic at any setting.
-  int parallelism = 1;
-  double epsilon = 1.0;  ///< ε for the centralized robust PTAS.
-
-  /// The lockstep-engine configuration this spec denotes.
-  DistributedPtasConfig engine_config(bool count_messages = false) const;
-
-  bool operator==(const SolverSpec&) const = default;
-};
-
-/// Horizon / bookkeeping of a single run.
-struct RunSpec {
-  std::int64_t slots = 1000;
-  int update_period = 1;  ///< y: strategy refresh every y slots.
-  std::uint64_t seed = 1;
-  /// Record every k-th slot in the series; 0 (the default) = auto,
-  /// max(1, slots/100) — so long horizons don't record millions of points.
-  int series_stride = 0;
-  bool count_messages = false;
-
-  bool operator==(const RunSpec&) const = default;
 };
 
 /// Topology dynamics over the run ([dynamics] section; src/dynamics). The
@@ -96,29 +69,24 @@ struct DynamicsSpec {
   bool operator==(const DynamicsSpec&) const = default;
 };
 
-/// Message-level runtime knobs ([net] section): the control-channel
-/// fault-injection plane and the view-synchronous membership layer,
-/// declarative at last. Numeric defaults are static_assert-pinned to
-/// net::NetConfig in scenario.cc (the PR-2 drift guard); membership is the
-/// string form of net::MembershipMode ("omniscient" | "view_sync").
+/// Message-level runtime knobs ([net] section): the control-channel fault
+/// plane and the view-synchronous membership layer. The fault and liveness
+/// knobs are the runtime's own structs, embedded by value, so
+/// to_net_config copies them whole. membership and transport are the
+/// string forms of net::MembershipMode and TransportKind.
 struct NetSpec {
-  double drop_prob = 0.0;     ///< Per-flood reception failure probability.
-  std::uint64_t drop_seed = 0;
-  double dup_prob = 0.0;      ///< Duplicate-delivery probability.
-  double reorder_prob = 0.0;  ///< Deferred-delivery probability.
-  int delay_slots_max = 0;    ///< Max deferral in slots (0 = same flood).
+  /// Keys drop_prob, drop_seed (-> faults.seed), dup_prob, reorder_prob,
+  /// delay_slots_max.
+  net::FaultProfile faults;
   std::string membership = "omniscient";
-  int hello_timeout_slots = 4;  ///< Silence (slots) before suspicion.
-  int hello_max_retries = 3;    ///< Liveness probes before eviction.
-  int backoff_base = 2;         ///< Probe k waits backoff_base^k slots.
+  /// Keys hello_timeout_slots, hello_max_retries, backoff_base.
+  net::LivenessParams liveness;
   /// How the --net runtime moves encoded floods: "inprocess" (every flood
   /// still round-trips through wire bytes) or "udp" (one real process per
-  /// shard on loopback sockets; see net/transport.h). String form of
-  /// TransportKind.
+  /// shard on loopback sockets; see net/transport.h).
   std::string transport = "inprocess";
-  /// Datagram size limit for fragment accounting and the UDP transport;
-  /// pinned to net::wire::kDefaultMtu / net::NetConfig by static_asserts.
-  int mtu = 1400;
+  /// Datagram size limit for fragment accounting and the UDP transport.
+  int mtu = net::wire::kDefaultMtu;
   /// Shard count for transport = udp: the scenario runs as `shard`
   /// cooperating processes (`mhca_sim run --net --shard k/N`), each owning
   /// the floods of vertices v with v % N == k. 1 = single process.
@@ -185,10 +153,11 @@ std::string serialize_scenario(const Scenario& s);
 /// Apply one "section.key=value" override (top-level: "name=value").
 void apply_override(Scenario& s, const std::string& spec);
 
-/// Range-check the fixed numeric fields (slots, r, strides, ...) without
-/// touching the registries. ScenarioRunner calls this at construction, so
-/// out-of-range fields fail with an actionable ScenarioError naming the
-/// scenario key instead of a deep MHCA_ASSERT later.
+/// Range-check the fixed numeric fields (slots, r, strides, ...) and require
+/// a named channel model, without touching the registries. ScenarioRunner
+/// calls this at construction, so bad fields fail with an actionable
+/// ScenarioError naming the scenario key instead of a deep MHCA_ASSERT
+/// later.
 void validate_fields(const Scenario& s);
 
 /// Full validation without building anything: validate_fields + component
@@ -197,7 +166,8 @@ void validate(const Scenario& s);
 
 // -------------------------------------------------------------- conversions
 
-/// The SimulationConfig this scenario denotes (solver + run + timing).
+/// The SimulationConfig this scenario denotes: its solver, run and timing,
+/// copied whole (the Simulator resolves run.series_stride = 0 itself).
 SimulationConfig to_simulation_config(const Scenario& s);
 
 // ------------------------------------------------------- enum <-> string
@@ -211,7 +181,7 @@ const char* local_solver_key(LocalSolverKind kind);
 const std::vector<std::string>& solver_kind_keys();
 const std::vector<std::string>& local_solver_keys();
 /// Maps the built-in policy registry keys to the PolicyKind enum (used by
-/// compatibility shims and the message-level runtime config). Throws for
+/// the message-level runtime config). Throws for
 /// registry keys without an enum value (user-registered policies).
 PolicyKind policy_kind_from_string(const std::string& s);
 const char* policy_kind_key(PolicyKind kind);

@@ -13,16 +13,6 @@
 
 namespace mhca {
 
-const char* to_string(SolverKind kind) {
-  switch (kind) {
-    case SolverKind::kDistributedPtas: return "distributed-ptas";
-    case SolverKind::kCentralizedPtas: return "centralized-ptas";
-    case SolverKind::kGreedy: return "greedy";
-    case SolverKind::kExact: return "exact";
-  }
-  return "?";
-}
-
 Simulator::Simulator(const ExtendedConflictGraph& ecg,
                      const ChannelModel& model, const IndexPolicy& policy,
                      SimulationConfig cfg, dynamics::DynamicNetwork* dyn)
@@ -30,9 +20,13 @@ Simulator::Simulator(const ExtendedConflictGraph& ecg,
   MHCA_ASSERT(ecg.num_nodes() == model.num_nodes() &&
                   ecg.num_channels() == model.num_channels(),
               "graph/model dimension mismatch");
-  MHCA_ASSERT(cfg_.slots >= 1, "need at least one slot");
-  MHCA_ASSERT(cfg_.update_period >= 1, "update period must be positive");
-  MHCA_ASSERT(cfg_.series_stride >= 1, "series stride must be positive");
+  MHCA_ASSERT(cfg_.run.slots >= 1, "need at least one slot");
+  MHCA_ASSERT(cfg_.run.update_period >= 1, "update period must be positive");
+  MHCA_ASSERT(cfg_.run.series_stride >= 0,
+              "series stride must be non-negative (0 = auto)");
+  if (cfg_.run.series_stride == 0)
+    cfg_.run.series_stride = static_cast<int>(
+        std::max<std::int64_t>(1, cfg_.run.slots / 100));
   MHCA_ASSERT(dyn_ == nullptr || &dyn_->ecg() == &ecg_,
               "dynamic simulation must run over the DynamicNetwork's graph");
 }
@@ -43,33 +37,29 @@ SimulationResult Simulator::run() {
   const int k_arms = ecg_.num_vertices();
 
   ArmEstimates est(k_arms);
-  Rng rng(cfg_.seed);
+  Rng rng(cfg_.run.seed);
 
   // Strategy-decision oracle. The distributed engine precomputes its
   // NeighborhoodCache at construction, so only build it when selected.
   std::unique_ptr<DistributedRobustPtas> engine;
   std::unique_ptr<MwisSolver> central;
-  DistributedPtasConfig dcfg;  // kept: dynamic full-rebuild re-uses it
-  switch (cfg_.solver) {
-    case SolverKind::kDistributedPtas: {
-      dcfg.r = cfg_.r;
-      dcfg.max_mini_rounds = cfg_.D;
-      dcfg.local_solver = cfg_.local_solver;
-      dcfg.bnb_node_cap = cfg_.bnb_node_cap;
-      dcfg.count_messages = cfg_.count_messages;
-      dcfg.local_solve_parallelism = cfg_.local_solve_parallelism;
+  // Kept: the dynamic full-rebuild mode re-uses it.
+  const DistributedPtasConfig dcfg{.solver = cfg_.solver,
+                                   .count_messages = cfg_.run.count_messages};
+  switch (cfg_.solver.kind) {
+    case SolverKind::kDistributedPtas:
       engine = std::make_unique<DistributedRobustPtas>(h, dcfg);
       break;
-    }
     case SolverKind::kCentralizedPtas:
-      central = std::make_unique<RobustPtasSolver>(cfg_.ptas_epsilon, 4,
-                                                   cfg_.bnb_node_cap);
+      central = std::make_unique<RobustPtasSolver>(cfg_.solver.epsilon, 4,
+                                                   cfg_.solver.node_cap);
       break;
     case SolverKind::kGreedy:
       central = std::make_unique<GreedyMwisSolver>();
       break;
     case SolverKind::kExact:
-      central = std::make_unique<BranchAndBoundMwisSolver>(cfg_.bnb_node_cap);
+      central =
+          std::make_unique<BranchAndBoundMwisSolver>(cfg_.solver.node_cap);
       break;
   }
 
@@ -85,7 +75,7 @@ SimulationResult Simulator::run() {
   double sum_expected = 0.0, sum_strategy_size = 0.0;
   const bool is_dynamic = dyn_ != nullptr && dyn_->dynamic();
 
-  for (std::int64_t t = 1; t <= cfg_.slots; ++t) {
+  for (std::int64_t t = 1; t <= cfg_.run.slots; ++t) {
     if (is_dynamic && t > 1) {
       const dynamics::SlotChange& ch = dyn_->advance(t);
       if (ch.changed) {
@@ -124,7 +114,7 @@ SimulationResult Simulator::run() {
         }
       }
     }
-    const bool decision_slot = ((t - 1) % cfg_.update_period) == 0;
+    const bool decision_slot = ((t - 1) % cfg_.run.update_period) == 0;
     if (decision_slot) {
       const auto t0 = Clock::now();
       if (policy_.randomize_round(t, rng)) {
@@ -135,8 +125,8 @@ SimulationResult Simulator::run() {
       }
       const std::span<const char> mask =
           is_dynamic ? dyn_->active_vertex_mask() : std::span<const char>{};
-      if (cfg_.solver == SolverKind::kDistributedPtas) {
-        if (cfg_.count_messages && !strategy.empty())
+      if (cfg_.solver.kind == SolverKind::kDistributedPtas) {
+        if (cfg_.run.count_messages && !strategy.empty())
           out.total_messages += engine->weight_broadcast_messages(strategy);
         DistributedPtasResult dres = engine->run(weights, mask);
         strategy = std::move(dres.winners);
@@ -176,7 +166,7 @@ SimulationResult Simulator::run() {
     sum_estimated += factor * estimated_sum;
     sum_expected += expected;
 
-    if ((t - 1) % cfg_.series_stride == 0 || t == cfg_.slots) {
+    if ((t - 1) % cfg_.run.series_stride == 0 || t == cfg_.run.slots) {
       const double td = static_cast<double>(t);
       out.slots.push_back(t);
       out.cumavg_effective.push_back(sum_effective / td);
@@ -186,12 +176,12 @@ SimulationResult Simulator::run() {
     }
   }
 
-  out.total_slots = cfg_.slots;
+  out.total_slots = cfg_.run.slots;
   out.total_observed = sum_observed;
   out.total_effective = sum_effective;
   out.total_expected = sum_expected;
   out.avg_strategy_size =
-      sum_strategy_size / static_cast<double>(cfg_.slots);
+      sum_strategy_size / static_cast<double>(cfg_.run.slots);
   out.final_means = est.means();
   out.final_counts = est.counts();
   out.last_strategy = strategy;

@@ -67,6 +67,8 @@ class Simulator {
 
   SimulationResult run();
 
+  /// The configuration in force: run.series_stride = 0 (auto) is resolved
+  /// to max(1, slots/100) at construction.
   const SimulationConfig& config() const { return cfg_; }
 
  private:

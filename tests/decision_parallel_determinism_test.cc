@@ -41,12 +41,13 @@ void run_determinism(int users, int r, std::int64_t node_cap) {
   const Graph& h = ecg.graph();
 
   DistributedPtasConfig serial_cfg;
-  serial_cfg.r = r;
+  serial_cfg.solver.D = 0;
+  serial_cfg.solver.r = r;
   serial_cfg.count_messages = true;
-  serial_cfg.local_solve_parallelism = 1;
-  serial_cfg.bnb_node_cap = node_cap;
+  serial_cfg.solver.parallelism = 1;
+  serial_cfg.solver.node_cap = node_cap;
   DistributedPtasConfig wide_cfg = serial_cfg;
-  wide_cfg.local_solve_parallelism = 8;
+  wide_cfg.solver.parallelism = 8;
 
   DistributedRobustPtas serial(h, serial_cfg);
   DistributedRobustPtas wide(h, wide_cfg);
@@ -77,8 +78,11 @@ TEST(DecisionParallelDeterminism, AutoParallelismMatchesSerial) {
   ExtendedConflictGraph ecg(cg, 4);
   const Graph& h = ecg.graph();
   DistributedPtasConfig serial_cfg;
-  serial_cfg.local_solve_parallelism = 1;
-  DistributedPtasConfig auto_cfg;  // default 0 = hardware concurrency
+  serial_cfg.solver.D = 0;
+  serial_cfg.solver.parallelism = 1;
+  DistributedPtasConfig auto_cfg;
+  auto_cfg.solver.D = 0;
+  auto_cfg.solver.parallelism = 0;  // one worker per hardware thread
   DistributedRobustPtas serial(h, serial_cfg);
   DistributedRobustPtas autop(h, auto_cfg);
   Rng rng(17);

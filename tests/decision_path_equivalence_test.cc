@@ -29,7 +29,9 @@ std::vector<double> random_weights(int n, Rng& rng) {
 void expect_paths_identical(const Graph& h, int r, int decisions,
                             std::uint64_t weight_seed) {
   DistributedPtasConfig cached_cfg;
-  cached_cfg.r = r;
+  cached_cfg.solver.D = 0;
+  cached_cfg.solver.parallelism = 0;
+  cached_cfg.solver.r = r;
   cached_cfg.count_messages = true;
   DistributedPtasConfig seed_cfg = cached_cfg;
   seed_cfg.use_decision_cache = false;
@@ -102,8 +104,10 @@ TEST(DecisionPathEquivalence, EqualWeightTies) {
   const Graph& h = ecg.graph();
   std::vector<double> w(static_cast<std::size_t>(h.size()), 0.5);
   DistributedPtasConfig seed_cfg;
+  seed_cfg.solver.D = 0;
+  seed_cfg.solver.parallelism = 0;
   seed_cfg.use_decision_cache = false;
-  DistributedRobustPtas cached(h, {});
+  DistributedRobustPtas cached(h, {.solver = {.D = 0, .parallelism = 0}});
   DistributedRobustPtas seed(h, seed_cfg);
   const auto a = cached.run(w);
   const auto b = seed.run(w);
@@ -124,8 +128,10 @@ TEST(DecisionPathEquivalence, PathologicalElectionWeights) {
   ExtendedConflictGraph ecg(cg, 3);
   const Graph& h = ecg.graph();
   DistributedPtasConfig seed_cfg;
+  seed_cfg.solver.D = 0;
+  seed_cfg.solver.parallelism = 0;
   seed_cfg.use_decision_cache = false;
-  DistributedRobustPtas cached(h, {});
+  DistributedRobustPtas cached(h, {.solver = {.D = 0, .parallelism = 0}});
   DistributedRobustPtas seed(h, seed_cfg);
   const double pool[] = {-1.5, -0.25, -0.0, 0.0, 0.25, 0.25, 0.5, 2.0};
   std::vector<double> w(static_cast<std::size_t>(h.size()));

@@ -339,7 +339,9 @@ TEST(DynamicsDifferential, BatchedNetworkMatchesEagerAtDecisionSlots) {
     batched.set_batch_period(period);
 
     DistributedPtasConfig cfg;
-    cfg.r = 2;
+    cfg.solver.D = 0;
+    cfg.solver.parallelism = 0;
+    cfg.solver.r = 2;
     DistributedRobustPtas eager_engine(eager.ecg().graph(), cfg);
     DistributedRobustPtas batched_engine(batched.ecg().graph(), cfg);
 
@@ -398,7 +400,9 @@ TEST(DynamicsDifferential, LongLivedEngineMatchesFreshEnginePerDelta) {
     Graph g = from_edge_list(n, edge_vec);
 
     DistributedPtasConfig cfg;
-    cfg.r = 1 + c % 3;
+    cfg.solver.D = 0;
+    cfg.solver.parallelism = 0;
+    cfg.solver.r = 1 + c % 3;
     cfg.count_messages = true;
     DistributedRobustPtas engine(g, cfg);
 

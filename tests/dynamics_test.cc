@@ -3,8 +3,7 @@
 // invariants (masks, isolation of departed nodes, H lift), built-in models
 // are deterministic and registry-complete, the [dynamics]/[net] scenario
 // sections parse/serialize/override like every other section, and the
-// dynamic paths of ScenarioRunner (run / replicate / run_net / make_scheme)
-// behave.
+// dynamic paths of ScenarioRunner (run / replicate / run_net) behave.
 #include <algorithm>
 #include <set>
 #include <string>
@@ -342,7 +341,7 @@ TEST(DynamicsScenario, ParseSerializeOverrideRoundTrip) {
   EXPECT_FALSE(s.dynamics.incremental);
   EXPECT_TRUE(s.dynamics.batch);
   EXPECT_EQ(s.dynamics.seed, 77u);
-  EXPECT_DOUBLE_EQ(s.net.drop_prob, 0.25);
+  EXPECT_DOUBLE_EQ(s.net.faults.drop_prob, 0.25);
   const Scenario back =
       scenario::parse_scenario(scenario::serialize_scenario(s));
   EXPECT_EQ(s, back);
@@ -367,8 +366,8 @@ TEST(DynamicsScenario, DropProbReachesNetConfig) {
   scenario::apply_override(s, "net.drop_prob=0.125");
   scenario::apply_override(s, "net.drop_seed=9");
   const net::NetConfig cfg = scenario::to_net_config(s, 14);
-  EXPECT_DOUBLE_EQ(cfg.drop_prob, 0.125);
-  EXPECT_EQ(cfg.drop_seed, 9u);
+  EXPECT_DOUBLE_EQ(cfg.faults.drop_prob, 0.125);
+  EXPECT_EQ(cfg.faults.seed, 9u);
 }
 
 TEST(DynamicsScenario, RunsAreDeterministicAndReplicable) {
@@ -429,30 +428,6 @@ TEST(DynamicsScenario, NetMatchesLockstepUnderDynamics) {
     const SimulationResult sim = runner.run();
     EXPECT_EQ(net.last_strategy, sim.last_strategy);
     EXPECT_EQ(net.conflicts, 0);
-  }
-}
-
-TEST(DynamicsScenario, MakeSchemeMatchesFirstLockstepDecision) {
-  // The step-API satellite: a scenario-built ChannelAccessScheme takes the
-  // same first decision as the scenario's own simulator (same graph, same
-  // policy, same solver spec, empty learning state on both sides).
-  Scenario s = scenario::parse_scenario(kChurnScenario);
-  scenario::apply_override(s, "dynamics.kind=static");
-  scenario::apply_override(s, "run.slots=1");
-  const ScenarioRunner runner(s);
-  ChannelAccessScheme scheme = runner.make_scheme();
-  scheme.decide();
-  const SimulationResult sim = runner.run();
-  EXPECT_EQ(scheme.current_vertices(), sim.last_strategy);
-
-  // Dynamic scenarios refuse the static step API, pointing at run().
-  Scenario dyn = scenario::parse_scenario(kChurnScenario);
-  const ScenarioRunner drunner(dyn);
-  try {
-    drunner.make_scheme();
-    FAIL() << "expected ScenarioError";
-  } catch (const ScenarioError& e) {
-    EXPECT_NE(std::string(e.what()).find("run()"), std::string::npos);
   }
 }
 

@@ -120,7 +120,8 @@ TEST(Markov, LearningStillFindsGoodChannels) {
   GilbertElliottChannelModel model(8, 3, rng);
   auto policy = make_policy(PolicyKind::kCab);
   SimulationConfig cfg;
-  cfg.slots = 800;
+  cfg.run.series_stride = 1;
+  cfg.run.slots = 800;
   const SimulationResult res = Simulator(ecg, model, *policy, cfg).run();
   EXPECT_GT(res.total_expected, 0.0);
   EXPECT_TRUE(ecg.graph().is_independent_set(res.last_strategy));
@@ -163,7 +164,8 @@ TEST(Trace, DrivesSimulationLikeSource) {
   auto p1 = make_policy(PolicyKind::kCab);
   auto p2 = make_policy(PolicyKind::kCab);
   SimulationConfig cfg;
-  cfg.slots = 100;
+  cfg.run.series_stride = 1;
+  cfg.run.slots = 100;
   const SimulationResult a = Simulator(ecg, src, *p1, cfg).run();
   const SimulationResult b = Simulator(ecg, trace, *p2, cfg).run();
   // Identical observed rewards within the recorded horizon -> identical run.
@@ -180,8 +182,8 @@ TEST(Export, WritesSeriesFile) {
   GaussianChannelModel model(6, 2, rng);
   auto policy = make_policy(PolicyKind::kCab);
   SimulationConfig cfg;
-  cfg.slots = 50;
-  cfg.series_stride = 10;
+  cfg.run.slots = 50;
+  cfg.run.series_stride = 10;
   const SimulationResult res = Simulator(ecg, model, *policy, cfg).run();
 
   const std::string path = "/tmp/mhca_export_test.csv";
@@ -211,7 +213,8 @@ TEST(Replication, AggregatesAcrossSeeds) {
     GaussianChannelModel model(8, 2, rng);
     auto policy = make_policy(PolicyKind::kCab);
     SimulationConfig cfg;
-    cfg.slots = 100;
+    cfg.run.series_stride = 1;
+    cfg.run.slots = 100;
     return Simulator(ecg, model, *policy, cfg).run();
   };
   const ReplicationReport report = replicate(experiment, 5);
@@ -234,7 +237,7 @@ TEST(LossyChannel, ZeroLossMatchesReliable) {
   GaussianChannelModel model(10, 2, rng);
   net::NetConfig reliable;
   net::NetConfig lossy0;
-  lossy0.drop_prob = 0.0;
+  lossy0.faults.drop_prob = 0.0;
   net::DistributedRuntime a(ecg, model, reliable);
   net::DistributedRuntime b(ecg, model, lossy0);
   for (int t = 0; t < 5; ++t) {
@@ -251,8 +254,8 @@ TEST(LossyChannel, DropsAreCountedAndDegradeTheProtocol) {
   ExtendedConflictGraph ecg(cg, 3);
   GaussianChannelModel model(12, 3, rng);
   net::NetConfig cfg;
-  cfg.drop_prob = 0.4;
-  cfg.drop_seed = 99;
+  cfg.faults.drop_prob = 0.4;
+  cfg.faults.seed = 99;
   net::DistributedRuntime rt(ecg, model, cfg);
   int conflicts = 0;
   for (int t = 0; t < 12; ++t)
@@ -269,8 +272,8 @@ TEST(LossyChannel, MildLossKeepsMostOfTheStrategyConflictFree) {
   ExtendedConflictGraph ecg(cg, 2);
   GaussianChannelModel model(10, 2, rng);
   net::NetConfig cfg;
-  cfg.drop_prob = 0.02;
-  cfg.drop_seed = 7;
+  cfg.faults.drop_prob = 0.02;
+  cfg.faults.seed = 7;
   net::DistributedRuntime rt(ecg, model, cfg);
   std::int64_t conflicting_pairs = 0, winners = 0;
   for (int t = 0; t < 10; ++t) {
@@ -291,8 +294,8 @@ TEST(LossyChannel, MildLossKeepsMostOfTheStrategyConflictFree) {
 
 TEST(LossyChannel, RejectsInvalidProbability) {
   Graph g(3);
-  EXPECT_THROW(net::ControlChannel(g, 1.0), std::logic_error);
-  EXPECT_THROW(net::ControlChannel(g, -0.1), std::logic_error);
+  EXPECT_THROW(net::ControlChannel(g, {.drop_prob = 1.0}), std::logic_error);
+  EXPECT_THROW(net::ControlChannel(g, {.drop_prob = -0.1}), std::logic_error);
 }
 
 }  // namespace

@@ -373,7 +373,9 @@ TEST(GraphProperty, IndependentSetCheckOnSignedZeroWeightWinnerSets) {
     }
   }
   DistributedPtasConfig cfg;
-  cfg.r = 2;
+  cfg.solver.D = 0;
+  cfg.solver.parallelism = 0;
+  cfg.solver.r = 2;
   DistributedRobustPtas engine(h, cfg);
   const auto res = engine.run(w);
   ASSERT_TRUE(h.is_independent_set(res.winners));

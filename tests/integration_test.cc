@@ -11,7 +11,6 @@
 #include "channel/bernoulli.h"
 #include "channel/gaussian.h"
 #include "channel/primary_user.h"
-#include "core/channel_access.h"
 #include "graph/generators.h"
 #include "sim/metrics.h"
 #include "sim/optimum.h"
@@ -28,9 +27,9 @@ SimulationResult run_policy(const ExtendedConflictGraph& ecg,
   params.llr_max_strategy_len = ecg.num_nodes();
   auto policy = make_policy(kind, params);
   SimulationConfig cfg;
-  cfg.slots = slots;
-  cfg.update_period = update_period;
-  cfg.series_stride = 10;
+  cfg.run.slots = slots;
+  cfg.run.update_period = update_period;
+  cfg.run.series_stride = 10;
   Simulator sim(ecg, model, *policy, cfg);
   return sim.run();
 }

@@ -123,12 +123,13 @@ TEST(LargeN, CachedDecisionPathMatchesSeedPathAtTenThousandVertices) {
   ASSERT_TRUE(h.has_sparse_rows());
 
   DistributedPtasConfig seed_cfg;
-  seed_cfg.r = 2;
+  seed_cfg.solver.D = 0;
+  seed_cfg.solver.r = 2;
   seed_cfg.use_decision_cache = false;
-  seed_cfg.local_solve_parallelism = 1;
+  seed_cfg.solver.parallelism = 1;
   DistributedPtasConfig cached_cfg = seed_cfg;
   cached_cfg.use_decision_cache = true;
-  cached_cfg.local_solve_parallelism = 0;  // fan out; determinism is claimed
+  cached_cfg.solver.parallelism = 0;  // fan out; determinism is claimed
 
   DistributedRobustPtas seed_engine(h, seed_cfg);
   DistributedRobustPtas cached_engine(h, cached_cfg);
@@ -161,9 +162,10 @@ TEST(LargeN, StageTimesCoverWholeDecisionAtTwelveThousandVertices) {
   ASSERT_GT(h.size(), Graph::kAdjacencyMatrixLimit);
 
   DistributedPtasConfig cfg;
-  cfg.r = 2;
+  cfg.solver.D = 0;
+  cfg.solver.r = 2;
   cfg.collect_stage_times = true;
-  cfg.local_solve_parallelism = 1;
+  cfg.solver.parallelism = 1;
   DistributedRobustPtas engine(h, cfg);
 
   std::vector<double> w(static_cast<std::size_t>(h.size()));
@@ -258,12 +260,13 @@ TEST(LargeN, CachedDecisionMatchesSeedAtQuarterMillionVertices) {
   ASSERT_EQ(h.size(), 250000);
 
   DistributedPtasConfig seed_cfg;
-  seed_cfg.r = 2;
+  seed_cfg.solver.D = 0;
+  seed_cfg.solver.r = 2;
   seed_cfg.use_decision_cache = false;
-  seed_cfg.local_solve_parallelism = 1;
+  seed_cfg.solver.parallelism = 1;
   DistributedPtasConfig cached_cfg = seed_cfg;
   cached_cfg.use_decision_cache = true;
-  cached_cfg.local_solve_parallelism = 0;
+  cached_cfg.solver.parallelism = 0;
 
   DistributedRobustPtas seed_engine(h, seed_cfg);
   DistributedRobustPtas cached_engine(h, cached_cfg);

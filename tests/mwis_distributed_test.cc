@@ -16,6 +16,11 @@
 namespace mhca {
 namespace {
 
+/// Run every decision until all vertices are marked (D = 0), fanning local
+/// solves across the hardware threads.
+const DistributedPtasConfig kUntilAllMarked{
+    .solver = {.D = 0, .parallelism = 0}};
+
 std::vector<double> random_weights(int n, Rng& rng) {
   std::vector<double> w(static_cast<std::size_t>(n));
   for (auto& x : w) x = rng.uniform(0.05, 1.0);
@@ -27,7 +32,7 @@ TEST(DistributedPtas, WinnersAreIndependentAndAllMarked) {
   ConflictGraph cg = random_geometric_avg_degree(40, 5.0, rng);
   ExtendedConflictGraph ecg(cg, 4);
   const auto w = random_weights(ecg.num_vertices(), rng);
-  DistributedRobustPtas engine(ecg.graph(), {});  // until all marked
+  DistributedRobustPtas engine(ecg.graph(), kUntilAllMarked);
   const DistributedPtasResult res = engine.run(w);
   EXPECT_TRUE(res.all_marked);
   EXPECT_TRUE(ecg.graph().is_independent_set(res.winners));
@@ -48,7 +53,7 @@ TEST(DistributedPtas, WinnersAreMaximal) {
   ConflictGraph cg = random_geometric_avg_degree(30, 4.0, rng);
   ExtendedConflictGraph ecg(cg, 3);
   const auto w = random_weights(ecg.num_vertices(), rng);
-  DistributedRobustPtas engine(ecg.graph(), {});
+  DistributedRobustPtas engine(ecg.graph(), kUntilAllMarked);
   const DistributedPtasResult res = engine.run(w);
   EXPECT_TRUE(res.all_marked);
   EXPECT_EQ(res.mini_rounds.back().candidates_remaining, 0);
@@ -59,7 +64,7 @@ TEST(DistributedPtas, CumulativeWeightMonotone) {
   ConflictGraph cg = random_geometric_avg_degree(60, 5.0, rng);
   ExtendedConflictGraph ecg(cg, 5);
   const auto w = random_weights(ecg.num_vertices(), rng);
-  DistributedRobustPtas engine(ecg.graph(), {});
+  DistributedRobustPtas engine(ecg.graph(), kUntilAllMarked);
   const DistributedPtasResult res = engine.run(w);
   for (std::size_t i = 1; i < res.mini_rounds.size(); ++i)
     EXPECT_GE(res.mini_rounds[i].cumulative_weight,
@@ -73,7 +78,8 @@ TEST(DistributedPtas, MiniRoundCapRespected) {
   ExtendedConflictGraph ecg(cg, 4);
   const auto w = random_weights(ecg.num_vertices(), rng);
   DistributedPtasConfig cfg;
-  cfg.max_mini_rounds = 2;
+  cfg.solver.parallelism = 0;
+  cfg.solver.D = 2;
   DistributedRobustPtas engine(ecg.graph(), cfg);
   const DistributedPtasResult res = engine.run(w);
   EXPECT_LE(res.mini_rounds_used, 2);
@@ -91,13 +97,15 @@ TEST(DistributedPtas, LinearWorstCaseNeedsManyMiniRounds) {
   for (int i = 0; i < n; ++i)
     w[static_cast<std::size_t>(i)] = 1.0 - 0.01 * static_cast<double>(i);
   DistributedPtasConfig cfg;
-  cfg.r = 2;
+  cfg.solver.D = 0;
+  cfg.solver.parallelism = 0;
+  cfg.solver.r = 2;
   DistributedRobustPtas engine(ecg.graph(), cfg);
   const DistributedPtasResult res = engine.run(w);
   EXPECT_TRUE(res.all_marked);
   // Each mini-round exactly one leader exists (the unmarked prefix vertex).
   for (const auto& mr : res.mini_rounds) EXPECT_EQ(mr.leaders, 1);
-  EXPECT_GE(res.mini_rounds_used, n / (2 * cfg.r + 1));
+  EXPECT_GE(res.mini_rounds_used, n / (2 * cfg.solver.r + 1));
 }
 
 TEST(DistributedPtas, RandomNetworksConvergeInFewMiniRounds) {
@@ -107,7 +115,7 @@ TEST(DistributedPtas, RandomNetworksConvergeInFewMiniRounds) {
   ConflictGraph cg = random_geometric_avg_degree(100, 6.0, rng);
   ExtendedConflictGraph ecg(cg, 5);
   const auto w = random_weights(ecg.num_vertices(), rng);
-  DistributedRobustPtas engine(ecg.graph(), {});
+  DistributedRobustPtas engine(ecg.graph(), kUntilAllMarked);
   const DistributedPtasResult res = engine.run(w);
   EXPECT_TRUE(res.all_marked);
   EXPECT_LE(res.mini_rounds_used, 12);
@@ -119,6 +127,8 @@ TEST(DistributedPtas, MessageAccountingPositiveAndBounded) {
   ExtendedConflictGraph ecg(cg, 3);
   const auto w = random_weights(ecg.num_vertices(), rng);
   DistributedPtasConfig cfg;
+  cfg.solver.D = 0;
+  cfg.solver.parallelism = 0;
   cfg.count_messages = true;
   DistributedRobustPtas engine(ecg.graph(), cfg);
   const DistributedPtasResult res = engine.run(w);
@@ -140,8 +150,8 @@ TEST(DistributedPtas, DeterministicAcrossRuns) {
   ConflictGraph cg = random_geometric_avg_degree(40, 5.0, rng);
   ExtendedConflictGraph ecg(cg, 4);
   const auto w = random_weights(ecg.num_vertices(), rng);
-  DistributedRobustPtas e1(ecg.graph(), {});
-  DistributedRobustPtas e2(ecg.graph(), {});
+  DistributedRobustPtas e1(ecg.graph(), kUntilAllMarked);
+  DistributedRobustPtas e2(ecg.graph(), kUntilAllMarked);
   EXPECT_EQ(e1.run(w).winners, e2.run(w).winners);
 }
 
@@ -151,7 +161,9 @@ TEST(DistributedPtas, GreedyLocalSolverStillIndependent) {
   ExtendedConflictGraph ecg(cg, 4);
   const auto w = random_weights(ecg.num_vertices(), rng);
   DistributedPtasConfig cfg;
-  cfg.local_solver = LocalSolverKind::kGreedy;
+  cfg.solver.D = 0;
+  cfg.solver.parallelism = 0;
+  cfg.solver.local_solver = LocalSolverKind::kGreedy;
   DistributedRobustPtas engine(ecg.graph(), cfg);
   const DistributedPtasResult res = engine.run(w);
   EXPECT_TRUE(res.all_marked);
@@ -162,8 +174,8 @@ TEST(DistributedPtas, EqualWeightsTieBrokenDeterministically) {
   ConflictGraph cg = linear_network(10);
   ExtendedConflictGraph ecg(cg, 2);
   std::vector<double> w(static_cast<std::size_t>(ecg.num_vertices()), 0.5);
-  DistributedRobustPtas e1(ecg.graph(), {});
-  DistributedRobustPtas e2(ecg.graph(), {});
+  DistributedRobustPtas e1(ecg.graph(), kUntilAllMarked);
+  DistributedRobustPtas e2(ecg.graph(), kUntilAllMarked);
   const auto r1 = e1.run(w);
   EXPECT_EQ(r1.winners, e2.run(w).winners);
   EXPECT_TRUE(r1.all_marked);
@@ -183,6 +195,8 @@ TEST_P(DistributedQuality, WithinTheorem2RatioOfOptimum) {
   const double opt = exact.solve_all(ecg.graph(), w).weight;
 
   DistributedPtasConfig cfg;  // r = 2
+  cfg.solver.D = 0;
+  cfg.solver.parallelism = 0;
   DistributedRobustPtas engine(ecg.graph(), cfg);
   const DistributedPtasResult res = engine.run(w);
 
@@ -199,7 +213,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DistributedQuality, ::testing::Range(0, 12));
 
 // Leaders of the same mini-round are pairwise > 2r+1 hops apart — the core
 // independence argument of Theorem 3. We verify it indirectly: re-run with
-// max_mini_rounds = 1 and check all pairwise winner distances & that winner
+// solver.D = 1 and check all pairwise winner distances & that winner
 // sets from distinct leaders don't conflict (already covered by the IS
 // check), plus directly measure leader separation via the first record.
 TEST(DistributedPtas, FirstMiniRoundLeaderSeparation) {
@@ -229,8 +243,9 @@ TEST(DistributedPtas, FirstMiniRoundLeaderSeparation) {
   }
 
   DistributedPtasConfig cfg;
-  cfg.r = r;
-  cfg.max_mini_rounds = 1;
+  cfg.solver.parallelism = 0;
+  cfg.solver.r = r;
+  cfg.solver.D = 1;
   DistributedRobustPtas engine(h, cfg);
   const DistributedPtasResult res = engine.run(w);
   ASSERT_EQ(res.mini_rounds.size(), 1u);

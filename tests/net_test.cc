@@ -153,15 +153,16 @@ TEST_P(Equivalence, NetRuntimeMatchesLockstepEngine) {
   GaussianChannelModel model(10, m_channels, rng);
 
   NetConfig ncfg;
-  ncfg.r = 2;
-  ncfg.D = 4;
+  ncfg.solver.r = 2;
+  ncfg.solver.D = 4;
   ncfg.policy = PolicyKind::kCab;
   DistributedRuntime rt(ecg, model, ncfg);
 
   // Lockstep replica: global estimates + engine + same policy.
   DistributedPtasConfig dcfg;
-  dcfg.r = 2;
-  dcfg.max_mini_rounds = 4;
+  dcfg.solver.parallelism = 0;
+  dcfg.solver.r = 2;
+  dcfg.solver.D = 4;
   DistributedRobustPtas engine(ecg.graph(), dcfg);
   auto policy = make_policy(PolicyKind::kCab);
   ArmEstimates est(ecg.num_vertices());
@@ -195,7 +196,8 @@ TEST_P(Equivalence, LlrPolicyAlsoMatches) {
   DistributedRuntime rt(ecg, model, ncfg);
 
   DistributedPtasConfig dcfg;
-  dcfg.max_mini_rounds = 4;
+  dcfg.solver.parallelism = 0;
+  dcfg.solver.D = 4;
   DistributedRobustPtas engine(ecg.graph(), dcfg);
   PolicyParams params;
   params.llr_max_strategy_len = ecg.num_nodes();
@@ -224,7 +226,8 @@ TEST_F(NetFixture, MessageBillMatchesLockstepAccounting) {
   DistributedRuntime rt(ecg_, model_, ncfg);
 
   DistributedPtasConfig dcfg;
-  dcfg.max_mini_rounds = ncfg.D;
+  dcfg.solver.parallelism = 0;
+  dcfg.solver.D = ncfg.solver.D;
   dcfg.count_messages = true;
   DistributedRobustPtas engine(ecg_.graph(), dcfg);
   auto policy = make_policy(PolicyKind::kCab);
@@ -262,7 +265,7 @@ TEST_F(NetFixture, MessageBillMatchesLockstepAccounting) {
 
 TEST_F(NetFixture, UnlimitedMiniRoundsMarkEveryone) {
   NetConfig cfg;
-  cfg.D = 0;  // run until all marked
+  cfg.solver.D = 0;  // run until all marked
   DistributedRuntime rt(ecg_, model_, cfg);
   const NetRoundResult res = rt.step();
   EXPECT_TRUE(res.all_marked);
@@ -270,7 +273,7 @@ TEST_F(NetFixture, UnlimitedMiniRoundsMarkEveryone) {
 
 TEST_F(NetFixture, GreedyLocalSolverWorks) {
   NetConfig cfg;
-  cfg.local_solver = LocalSolverKind::kGreedy;
+  cfg.solver.local_solver = LocalSolverKind::kGreedy;
   DistributedRuntime rt(ecg_, model_, cfg);
   const NetRoundResult res = rt.step();
   EXPECT_TRUE(ecg_.graph().is_independent_set(res.strategy));
@@ -411,8 +414,8 @@ TEST_F(NetFixture, ConvergenceOracleAcceptsFaultFreeViewSyncRun) {
 TEST_F(NetFixture, LivenessProbesAndViewChangesAreBilled) {
   NetConfig clean = view_sync_config();
   NetConfig lossy = view_sync_config();
-  lossy.drop_prob = 0.4;
-  lossy.drop_seed = 21;
+  lossy.faults.drop_prob = 0.4;
+  lossy.faults.seed = 21;
   DistributedRuntime rt_clean(ecg_, model_, clean);
   DistributedRuntime rt_lossy(ecg_, model_, lossy);
   for (int t = 1; t <= 20; ++t) {
@@ -443,7 +446,7 @@ TEST(NetLinearWorstCase, OneLeaderPerMiniRound) {
     rates.push_back(1350.0 - 80.0 * static_cast<double>(i));
   GaussianChannelModel model(n, 1, rates, 0.0, 1);
   NetConfig cfg;
-  cfg.D = 0;
+  cfg.solver.D = 0;
   DistributedRuntime rt(ecg, model, cfg);
   const NetRoundResult res = rt.step();
   EXPECT_TRUE(res.all_marked);
@@ -576,8 +579,8 @@ TEST(AgentTable, OmniscientMemberStatsAreTheCarriedHelloStats) {
 
 TEST_F(NetFixture, OmniscientDiscoveryUnderDuplicatesBuildsTheCleanTable) {
   NetConfig dup;
-  dup.dup_prob = 0.5;
-  dup.drop_seed = 3;
+  dup.faults.dup_prob = 0.5;
+  dup.faults.seed = 3;
   DistributedRuntime clean(ecg_, model_, NetConfig{});
   DistributedRuntime noisy(ecg_, model_, dup);
   EXPECT_GT(noisy.channel_stats().duplicates, 0);

@@ -139,24 +139,24 @@ void mesh_matches_classic(int shards, const NetConfig& cfg, int rounds,
 
 TEST(MemoryMesh, TwoShardsMatchClassicClean) {
   NetConfig cfg;
-  cfg.r = 2;
-  cfg.D = 4;
+  cfg.solver.r = 2;
+  cfg.solver.D = 4;
   mesh_matches_classic(2, cfg, 12, 0x5EED01);
 }
 
 TEST(MemoryMesh, ThreeShardsMatchClassicUnderDropAndDupFaults) {
   NetConfig cfg;
-  cfg.r = 2;
-  cfg.D = 4;
-  cfg.drop_prob = 0.12;
-  cfg.dup_prob = 0.08;
-  cfg.drop_seed = 0xFA17;
+  cfg.solver.r = 2;
+  cfg.solver.D = 4;
+  cfg.faults.drop_prob = 0.12;
+  cfg.faults.dup_prob = 0.08;
+  cfg.faults.seed = 0xFA17;
   mesh_matches_classic(3, cfg, 12, 0x5EED02);
 }
 
 TEST(MemoryMesh, TinyMtuStillMatchesAndBillsMoreFragments) {
   NetConfig cfg;
-  cfg.r = 2;
+  cfg.solver.r = 2;
   cfg.mtu = net::wire::kMinMtu;  // hellos fragment at 128 bytes
   const RunLog classic = drive(nullptr, cfg, 8, 0x5EED03);
   EXPECT_GT(classic.fragments, classic.messages)
@@ -195,10 +195,11 @@ TEST(UdpTransportTest, BindConflictFailsWithActionableError) {
 
 TEST(UdpTransportTest, TwoShardsOverRealSocketsMatchClassic) {
   NetConfig cfg;
-  cfg.r = 2;
-  cfg.D = 4;
-  cfg.dup_prob = 0.05;  // exercise the fault plane over the real wire too
-  cfg.drop_seed = 7;
+  cfg.solver.r = 2;
+  cfg.solver.D = 4;
+  // Exercise the fault plane over the real wire too.
+  cfg.faults.dup_prob = 0.05;
+  cfg.faults.seed = 7;
   const RunLog classic = drive(nullptr, cfg, 10, 0x5EED05);
 
   UdpOptions opts;

@@ -343,6 +343,8 @@ TEST(ObsContract, DisabledDecisionRecordsNoTraceEventsOrRegistryWrites) {
   ExtendedConflictGraph ecg(cg, 3);
   const Graph& h = ecg.graph();
   DistributedPtasConfig cached_cfg;
+  cached_cfg.solver.D = 0;
+  cached_cfg.solver.parallelism = 0;
   cached_cfg.count_messages = true;
   cached_cfg.collect_stage_times = true;
   DistributedPtasConfig seed_cfg = cached_cfg;

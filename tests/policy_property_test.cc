@@ -1,6 +1,6 @@
 // Property tests on the learning layer: index monotonicity/limits for
 // every policy, eq. (3) clipping threshold behavior, eq. (5)-(6) streaming
-// updates against batch recomputation, and lockstep-vs-facade consistency.
+// updates against batch recomputation, and batch-vs-scalar index consistency.
 #include <gtest/gtest.h>
 
 #include <cmath>

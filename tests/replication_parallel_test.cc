@@ -24,8 +24,9 @@ std::function<SimulationResult(std::uint64_t)> small_experiment(
     PolicyParams params;
     auto policy = make_policy(PolicyKind::kCab, params);
     SimulationConfig cfg;
-    cfg.slots = 60;
-    cfg.seed = seed;
+    cfg.run.series_stride = 1;
+    cfg.run.slots = 60;
+    cfg.run.seed = seed;
     Simulator sim(ecg, model, *policy, cfg);
     return sim.run();
   };

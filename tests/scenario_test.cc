@@ -1,8 +1,8 @@
 // Scenario-layer tests: text-format round-trip, actionable error messages,
 // registry completeness (every component constructible by string key), the
-// single-source-of-truth solver defaults, and — the core redesign claim —
-// byte-identical results between ScenarioRunner and the legacy hand-wired
-// paths (direct Simulator, ChannelAccessScheme::run, net runtime).
+// whole-struct conversions to the engine configs, and — the core redesign
+// claim — byte-identical results between ScenarioRunner and the hand-wired
+// paths (direct Simulator, net runtime).
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "channel/gaussian.h"
-#include "core/channel_access.h"
 #include "graph/generators.h"
 #include "mwis/mwis.h"
 #include "net/runtime.h"
@@ -105,15 +104,15 @@ TEST(ScenarioFormat, ParseReadsEveryField) {
   EXPECT_FALSE(s.dynamics.incremental);
   EXPECT_EQ(s.dynamics.seed, 21u);
   EXPECT_DOUBLE_EQ(s.dynamics.model.params.get_double("leave_prob", 0), 0.05);
-  EXPECT_DOUBLE_EQ(s.net.drop_prob, 0.1);
-  EXPECT_EQ(s.net.drop_seed, 3u);
-  EXPECT_DOUBLE_EQ(s.net.dup_prob, 0.05);
-  EXPECT_DOUBLE_EQ(s.net.reorder_prob, 0.2);
-  EXPECT_EQ(s.net.delay_slots_max, 2);
+  EXPECT_DOUBLE_EQ(s.net.faults.drop_prob, 0.1);
+  EXPECT_EQ(s.net.faults.seed, 3u);
+  EXPECT_DOUBLE_EQ(s.net.faults.dup_prob, 0.05);
+  EXPECT_DOUBLE_EQ(s.net.faults.reorder_prob, 0.2);
+  EXPECT_EQ(s.net.faults.delay_slots_max, 2);
   EXPECT_EQ(s.net.membership, "view_sync");
-  EXPECT_EQ(s.net.hello_timeout_slots, 6);
-  EXPECT_EQ(s.net.hello_max_retries, 2);
-  EXPECT_EQ(s.net.backoff_base, 3);
+  EXPECT_EQ(s.net.liveness.hello_timeout_slots, 6);
+  EXPECT_EQ(s.net.liveness.hello_max_retries, 2);
+  EXPECT_EQ(s.net.liveness.backoff_base, 3);
   EXPECT_EQ(s.solver.kind, SolverKind::kDistributedPtas);
   EXPECT_EQ(s.solver.r, 3);
   EXPECT_EQ(s.solver.D, 6);
@@ -320,31 +319,76 @@ TEST(ScenarioOverrides, RouteLikeTheParser) {
   EXPECT_EQ(s.name, "grid-cell");
 }
 
-// ------------------------------------------- solver-default single source
+// ------------------------------------- conversions copy whole structs
 
-TEST(SolverSpec, DefaultsPinnedToOneConstant) {
-  // Compile-time twins live in scenario.cc; these document the contract.
-  EXPECT_EQ(scenario::SolverSpec{}.node_cap, kDefaultBnbNodeCap);
-  EXPECT_EQ(DistributedPtasConfig{}.bnb_node_cap, kDefaultBnbNodeCap);
-  EXPECT_EQ(SimulationConfig{}.bnb_node_cap, kDefaultBnbNodeCap);
-  EXPECT_EQ(net::NetConfig{}.bnb_node_cap, kDefaultBnbNodeCap);
-  EXPECT_EQ(ChannelAccessConfig{}.bnb_node_cap, kDefaultBnbNodeCap);
-}
+TEST(ScenarioConversions, CopyWholeStructs) {
+  // Every [solver], [run] and [net] key at a non-default value, so a field
+  // a conversion forgot (or a default it substituted) cannot go unnoticed.
+  Scenario s = scenario::parse_scenario(kFullScenario);
+  scenario::apply_override(s, "solver.kind=centralized");
+  scenario::apply_override(s, "net.transport=udp");
+  scenario::apply_override(s, "net.mtu=512");
+  scenario::apply_override(s, "net.shard=2");
+  const Scenario defaults;
+  const SolverSpec& sv = s.solver;
+  EXPECT_NE(sv.kind, defaults.solver.kind);
+  EXPECT_NE(sv.r, defaults.solver.r);
+  EXPECT_NE(sv.D, defaults.solver.D);
+  EXPECT_NE(sv.local_solver, defaults.solver.local_solver);
+  EXPECT_NE(sv.node_cap, defaults.solver.node_cap);
+  EXPECT_NE(sv.parallelism, defaults.solver.parallelism);
+  EXPECT_NE(sv.epsilon, defaults.solver.epsilon);
+  EXPECT_NE(s.run.slots, defaults.run.slots);
+  EXPECT_NE(s.run.update_period, defaults.run.update_period);
+  EXPECT_NE(s.run.seed, defaults.run.seed);
+  EXPECT_NE(s.run.series_stride, defaults.run.series_stride);
+  EXPECT_NE(s.run.count_messages, defaults.run.count_messages);
+  const net::FaultProfile& f = s.net.faults;
+  EXPECT_NE(f.drop_prob, defaults.net.faults.drop_prob);
+  EXPECT_NE(f.dup_prob, defaults.net.faults.dup_prob);
+  EXPECT_NE(f.reorder_prob, defaults.net.faults.reorder_prob);
+  EXPECT_NE(f.delay_slots_max, defaults.net.faults.delay_slots_max);
+  EXPECT_NE(f.seed, defaults.net.faults.seed);
+  const net::LivenessParams& l = s.net.liveness;
+  EXPECT_NE(l.hello_timeout_slots, defaults.net.liveness.hello_timeout_slots);
+  EXPECT_NE(l.hello_max_retries, defaults.net.liveness.hello_max_retries);
+  EXPECT_NE(l.backoff_base, defaults.net.liveness.backoff_base);
+  EXPECT_NE(s.net.membership, defaults.net.membership);
+  EXPECT_NE(s.net.transport, defaults.net.transport);
+  EXPECT_NE(s.net.mtu, defaults.net.mtu);
+  EXPECT_NE(s.net.shard, defaults.net.shard);
 
-TEST(SolverSpec, EngineConfigMapsEveryKnob) {
-  scenario::SolverSpec spec;
-  spec.r = 3;
-  spec.D = 7;
-  spec.local_solver = LocalSolverKind::kGreedy;
-  spec.node_cap = 555;
-  spec.parallelism = 4;
-  const DistributedPtasConfig cfg = spec.engine_config(/*count_messages=*/true);
-  EXPECT_EQ(cfg.r, 3);
-  EXPECT_EQ(cfg.max_mini_rounds, 7);
-  EXPECT_EQ(cfg.local_solver, LocalSolverKind::kGreedy);
-  EXPECT_EQ(cfg.bnb_node_cap, 555);
-  EXPECT_EQ(cfg.local_solve_parallelism, 4);
-  EXPECT_TRUE(cfg.count_messages);
+  const SimulationConfig sim = scenario::to_simulation_config(s);
+  EXPECT_EQ(sim.solver, s.solver);
+  EXPECT_EQ(sim.run, s.run);
+  EXPECT_EQ(sim.timing, s.timing);
+
+  const net::NetConfig net = scenario::to_net_config(s, 16);
+  EXPECT_EQ(net.solver, s.solver);
+  EXPECT_EQ(net.faults, s.net.faults);
+  EXPECT_EQ(net.liveness, s.net.liveness);
+  EXPECT_EQ(net.membership, net::MembershipMode::kViewSync);
+  EXPECT_EQ(net.mtu, 512);
+  EXPECT_EQ(net.policy, PolicyKind::kLlr);
+  EXPECT_EQ(net.policy_params.llr_max_strategy_len, 9);
+
+  // A runnable copy: one process, and an auto series stride the Simulator
+  // resolves to max(1, slots/100) = 4.
+  Scenario runnable = s;
+  scenario::apply_override(runnable, "net.transport=inprocess");
+  scenario::apply_override(runnable, "net.shard=1");
+  scenario::apply_override(runnable, "run.slots=450");
+  scenario::apply_override(runnable, "run.series_stride=0");
+  const ScenarioRunner runner(runnable);
+  const DistributedPtasConfig engine = runner.engine_config();
+  EXPECT_EQ(engine.solver, s.solver);
+  EXPECT_TRUE(engine.count_messages);
+  EXPECT_EQ(runner.simulation_config().run, runnable.run);
+  RunSpec resolved = runnable.run;
+  resolved.series_stride = 4;
+  const Simulator sim_run(runner.extended_graph(), runner.model(),
+                          runner.policy(), runner.simulation_config());
+  EXPECT_EQ(sim_run.config().run, resolved);
 }
 
 // ------------------------------------------------- registry completeness
@@ -467,29 +511,12 @@ TEST(ScenarioRunnerDeterminism, ByteIdenticalToHandWiredSimulator) {
   GaussianChannelModel model(14, 3, rng);
   const auto policy = make_policy(PolicyKind::kCab);
   SimulationConfig cfg;
-  cfg.slots = 120;
-  cfg.seed = 5;
-  cfg.series_stride = 10;
+  cfg.run.slots = 120;
+  cfg.run.seed = 5;
+  cfg.run.series_stride = 10;
   const SimulationResult legacy = Simulator(ecg, model, *policy, cfg).run();
 
   expect_identical(via_scenario, legacy);
-}
-
-TEST(ScenarioRunnerDeterminism, ByteIdenticalToFacadeRun) {
-  const Scenario s = scenario::parse_scenario(kDeterminismScenario);
-  const SimulationResult via_scenario = ScenarioRunner(s).run();
-
-  Rng rng(5);
-  ConflictGraph network = random_geometric_avg_degree(14, 4.5, rng);
-  GaussianChannelModel model(14, 3, rng);
-  ChannelAccessConfig cfg;
-  cfg.num_channels = 3;
-  cfg.seed = 5;
-  cfg.series_stride = 10;
-  const ChannelAccessScheme scheme(network, cfg);
-  const SimulationResult via_facade = scheme.run(model, 120);
-
-  expect_identical(via_scenario, via_facade);
 }
 
 TEST(ScenarioRunnerDeterminism, RepeatedRunsAndReplicationsAreStable) {
@@ -521,6 +548,76 @@ TEST(ScenarioRunnerNet, ProtocolRoundsMatchLockstepDecisions) {
   // Full Algorithm 2, message-level vs lockstep: identical final strategy.
   const SimulationResult sim = runner.run();
   EXPECT_EQ(net.last_strategy, sim.last_strategy);
+}
+
+// ------------------------------------------- run() over a small network
+
+const char* kSmallScenario = R"(name = small
+[topology]
+kind = geometric
+nodes = 10
+avg_degree = 4.0
+[channel]
+kind = gaussian
+channels = 3
+[run]
+slots = 150
+seed = 21
+)";
+
+TEST(ScenarioRunnerRun, ExposesItsComponents) {
+  const ScenarioRunner runner(scenario::parse_scenario(kSmallScenario));
+  EXPECT_EQ(runner.network().num_nodes(), 10);
+  EXPECT_EQ(runner.extended_graph().num_vertices(), 30);  // N x M
+  EXPECT_EQ(runner.model().num_channels(), 3);
+  EXPECT_EQ(runner.policy().name(), "CAB");
+}
+
+TEST(ScenarioRunnerRun, ResultHasTheSimulatorShape) {
+  const SimulationResult res =
+      ScenarioRunner(scenario::parse_scenario(kSmallScenario)).run();
+  EXPECT_EQ(res.total_slots, 150);
+  EXPECT_GT(res.total_observed, 0.0);
+  EXPECT_EQ(res.slots.size(), res.cumavg_estimated.size());
+}
+
+TEST(ScenarioRunnerRun, EverySolverKindGivesAFeasibleStrategy) {
+  for (const std::string& kind : scenario::solver_kind_keys()) {
+    SCOPED_TRACE(kind);
+    Scenario s = scenario::parse_scenario(kSmallScenario);
+    scenario::apply_override(s, "solver.kind=" + kind);
+    scenario::apply_override(s, "run.slots=1");
+    const ScenarioRunner runner(s);
+    const SimulationResult res = runner.run();
+    const ExtendedConflictGraph& ecg = runner.extended_graph();
+    EXPECT_FALSE(res.last_strategy.empty());
+    EXPECT_TRUE(ecg.is_feasible(ecg.to_strategy(res.last_strategy)));
+  }
+}
+
+TEST(ScenarioRunnerRun, UpdatePeriodSetsTheDecisionCount) {
+  Scenario s = scenario::parse_scenario(kSmallScenario);
+  scenario::apply_override(s, "run.slots=100");
+  scenario::apply_override(s, "run.update_period=5");
+  EXPECT_EQ(ScenarioRunner(s).run().decisions, 20);
+}
+
+TEST(ScenarioRunnerRun, LlrDefaultsLToN) {
+  Scenario s = scenario::parse_scenario(kSmallScenario);
+  scenario::apply_override(s, "policy.kind=llr");
+  const ScenarioRunner runner(s);
+  EXPECT_EQ(runner.policy().name(), "LLR");
+  EXPECT_EQ(scenario::to_net_config(s, runner.network().num_nodes())
+                .policy_params.llr_max_strategy_len,
+            10);
+}
+
+TEST(ScenarioRunnerRun, EmptyChannelKindFailsAtConstruction) {
+  Scenario s = scenario::parse_scenario(kSmallScenario);
+  scenario::apply_override(s, "channel.kind=");
+  const std::string msg = error_message([&] { ScenarioRunner runner(s); });
+  EXPECT_TRUE(message_contains(msg, "[channel] kind is empty"));
+  EXPECT_EQ(msg, error_message([&] { scenario::validate(s); }));
 }
 
 // --------------------------------------------- example scenarios can't rot

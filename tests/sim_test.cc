@@ -64,9 +64,10 @@ class SimFixture : public ::testing::Test {
 
   SimulationConfig base_config(std::int64_t slots) {
     SimulationConfig cfg;
-    cfg.slots = slots;
-    cfg.r = 2;
-    cfg.D = 4;
+    cfg.run.series_stride = 1;
+    cfg.run.slots = slots;
+    cfg.solver.r = 2;
+    cfg.solver.D = 4;
     return cfg;
   }
 
@@ -124,7 +125,7 @@ TEST_F(SimFixture, PeriodicUpdateReducesDecisionsAndBoostsThroughput) {
   auto policy = make_policy(PolicyKind::kCab);
   SimulationConfig cfg1 = base_config(400);
   SimulationConfig cfg10 = base_config(400);
-  cfg10.update_period = 10;
+  cfg10.run.update_period = 10;
   Simulator s1(ecg_, model_, *policy, cfg1);
   Simulator s10(ecg_, model_, *policy, cfg10);
   const SimulationResult r1 = s1.run();
@@ -138,7 +139,7 @@ TEST_F(SimFixture, PeriodicUpdateReducesDecisionsAndBoostsThroughput) {
 TEST_F(SimFixture, SeriesStrideRecordsSparsely) {
   auto policy = make_policy(PolicyKind::kCab);
   SimulationConfig cfg = base_config(100);
-  cfg.series_stride = 10;
+  cfg.run.series_stride = 10;
   Simulator sim(ecg_, model_, *policy, cfg);
   const SimulationResult res = sim.run();
   EXPECT_LE(res.slots.size(), 12u);
@@ -148,7 +149,7 @@ TEST_F(SimFixture, SeriesStrideRecordsSparsely) {
 TEST_F(SimFixture, MessageCountingMonotoneInSlots) {
   auto policy = make_policy(PolicyKind::kCab);
   SimulationConfig cfg = base_config(50);
-  cfg.count_messages = true;
+  cfg.run.count_messages = true;
   Simulator sim(ecg_, model_, *policy, cfg);
   const SimulationResult res = sim.run();
   EXPECT_GT(res.total_messages, 0);
@@ -160,22 +161,23 @@ TEST_F(SimFixture, CentralizedSolversAlsoWork) {
   for (SolverKind kind : {SolverKind::kCentralizedPtas, SolverKind::kGreedy,
                           SolverKind::kExact}) {
     SimulationConfig cfg = base_config(60);
-    cfg.solver = kind;
+    cfg.solver.kind = kind;
     Simulator sim(ecg_, model_, *policy, cfg);
     const SimulationResult res = sim.run();
-    EXPECT_GT(res.total_observed, 0.0) << to_string(kind);
+    EXPECT_GT(res.total_observed, 0.0)
+        << "solver kind " << static_cast<int>(kind);
     EXPECT_TRUE(
         ecg_.graph().is_independent_set(res.last_strategy))
-        << to_string(kind);
+        << "solver kind " << static_cast<int>(kind);
   }
 }
 
 TEST_F(SimFixture, ExactSolverBeatsOrMatchesGreedyOnExpectedThroughput) {
   auto policy = make_policy(PolicyKind::kCab);
   SimulationConfig ce = base_config(300);
-  ce.solver = SolverKind::kExact;
+  ce.solver.kind = SolverKind::kExact;
   SimulationConfig cgr = base_config(300);
-  cgr.solver = SolverKind::kGreedy;
+  cgr.solver.kind = SolverKind::kGreedy;
   auto policy2 = make_policy(PolicyKind::kCab);
   const SimulationResult re = Simulator(ecg_, model_, *policy, ce).run();
   const SimulationResult rg = Simulator(ecg_, model_, *policy2, cgr).run();
@@ -198,7 +200,7 @@ TEST_F(SimFixture, EpsGreedyRunsAndExplores) {
   p.epsilon = 0.3;
   auto policy = make_policy(PolicyKind::kEpsGreedy, p);
   SimulationConfig cfg = base_config(200);
-  cfg.seed = 99;
+  cfg.run.seed = 99;
   Simulator sim(ecg_, model_, *policy, cfg);
   const SimulationResult res = sim.run();
   EXPECT_GT(res.total_observed, 0.0);
@@ -231,7 +233,8 @@ TEST(Simulator, EstimatedSeriesMatchesHandComputation) {
   GaussianChannelModel model(1, 1, {600.0}, 0.0, 1);
   auto policy = make_policy(PolicyKind::kGreedy);
   SimulationConfig cfg;
-  cfg.slots = 4;
+  cfg.run.series_stride = 1;
+  cfg.run.slots = 4;
   Simulator sim(ecg, model, *policy, cfg);
   const SimulationResult res = sim.run();
   const double theta = cfg.timing.theta();
@@ -258,13 +261,34 @@ TEST(Simulator, PeriodicEstimateUsesDecisionTimeIndex) {
   GaussianChannelModel model(1, 1, {900.0}, 0.0, 1);
   auto policy = make_policy(PolicyKind::kGreedy);
   SimulationConfig cfg;
-  cfg.slots = 20;
-  cfg.update_period = 2;
+  cfg.run.series_stride = 1;
+  cfg.run.slots = 20;
+  cfg.run.update_period = 2;
   Simulator sim(ecg, model, *policy, cfg);
   const SimulationResult res = sim.run();
   EXPECT_EQ(res.decisions, 10);
   EXPECT_NEAR(res.total_effective / res.total_observed,
               cfg.timing.periodic_fraction(2), 1e-12);
+}
+
+TEST(Simulator, SteppingLearnsTheBetterChannel) {
+  // Two isolated nodes (no conflicts), two channels with very different
+  // noise-free rates: after 60 slots each node transmits on its best
+  // channel — node 0 on channel 1, node 1 on channel 0.
+  ConflictGraph iso = ConflictGraph::from_edges(2, {});
+  ExtendedConflictGraph ecg(iso, 2);
+  const double mu[2][2] = {{0.2, 0.9}, {0.8, 0.1}};
+  std::vector<double> kbps;
+  for (const auto& row : mu)
+    for (double m : row) kbps.push_back(m * kRateScaleKbps);
+  GaussianChannelModel model(2, 2, kbps, 0.0, 1);
+  auto policy = make_policy(PolicyKind::kCab);
+  SimulationConfig cfg;
+  cfg.run.slots = 61;
+  const SimulationResult res = Simulator(ecg, model, *policy, cfg).run();
+  const Strategy last = ecg.to_strategy(res.last_strategy);
+  EXPECT_EQ(last.channel_of_node[0], 1);
+  EXPECT_EQ(last.channel_of_node[1], 0);
 }
 
 TEST(Simulator, RejectsBadConfig) {
@@ -274,13 +298,15 @@ TEST(Simulator, RejectsBadConfig) {
   GaussianChannelModel model(4, 2, rng);
   auto policy = make_policy(PolicyKind::kCab);
   SimulationConfig cfg;
-  cfg.slots = 0;
+  cfg.run.series_stride = 1;
+  cfg.run.slots = 0;
   EXPECT_THROW(Simulator(ecg, model, *policy, cfg), std::logic_error);
-  cfg.slots = 10;
-  cfg.update_period = 0;
+  cfg.run.slots = 10;
+  cfg.run.update_period = 0;
   EXPECT_THROW(Simulator(ecg, model, *policy, cfg), std::logic_error);
   GaussianChannelModel wrong(5, 2, rng);
   SimulationConfig ok;
+  ok.run.series_stride = 1;
   EXPECT_THROW(Simulator(ecg, wrong, *policy, ok), std::logic_error);
 }
 

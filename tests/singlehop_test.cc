@@ -10,10 +10,10 @@
 
 #include "bandit/thompson.h"
 #include "channel/gaussian.h"
-#include "core/channel_access.h"
 #include "graph/extended_graph.h"
 #include "graph/generators.h"
 #include "graph/independence.h"
+#include "mwis/distributed_ptas.h"
 #include "sim/optimum.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -34,14 +34,17 @@ TEST(SingleHop, IndependenceNumberIsMinNM) {
 }
 
 TEST(SingleHop, StrategyNeverReusesAChannel) {
+  // The paper's decision engine at its default spec (r = 2, D = 4) under
+  // fresh random weights every round.
   Rng rng(5);
   ConflictGraph cg = complete_network(6);
-  ChannelAccessConfig cfg;
-  cfg.num_channels = 4;
-  ChannelAccessScheme scheme(cg, cfg);
-  GaussianChannelModel model(6, 4, rng);
-  for (std::int64_t t = 1; t <= 30; ++t) {
-    const Strategy& s = scheme.decide();
+  ExtendedConflictGraph ecg(cg, 4);
+  DistributedRobustPtas engine(ecg.graph(), {});
+  std::vector<double> w(static_cast<std::size_t>(ecg.num_vertices()));
+  for (int round = 1; round <= 30; ++round) {
+    for (double& x : w) x = rng.uniform();
+    const Strategy s = ecg.to_strategy(engine.run(w).winners);
+    EXPECT_TRUE(ecg.is_feasible(s));
     std::set<int> used;
     int transmitters = 0;
     for (int node = 0; node < 6; ++node) {
@@ -50,7 +53,6 @@ TEST(SingleHop, StrategyNeverReusesAChannel) {
       ++transmitters;
       EXPECT_TRUE(used.insert(c).second)
           << "channel " << c << " assigned twice in a single-hop network";
-      scheme.report(node, model.sample(node, c, t));
     }
     EXPECT_LE(transmitters, 4);  // min(N, M)
   }
@@ -75,7 +77,8 @@ TEST(SingleHop, LearningConvergesToBestMatching) {
   GaussianChannelModel model(2, 2, {900, 300, 600, 450}, 0.02, 3);
   auto policy = make_policy(PolicyKind::kCab);
   SimulationConfig cfg;
-  cfg.slots = 600;
+  cfg.run.series_stride = 1;
+  cfg.run.slots = 600;
   const SimulationResult res = Simulator(ecg, model, *policy, cfg).run();
   // Final strategy = the optimal matching.
   const Strategy s = ecg.to_strategy(res.last_strategy);
@@ -89,7 +92,8 @@ TEST(SingleHop, MoreUsersThanChannelsLeavesSomeSilent) {
   GaussianChannelModel model(7, 3, rng);
   auto policy = make_policy(PolicyKind::kCab);
   SimulationConfig cfg;
-  cfg.slots = 100;
+  cfg.run.series_stride = 1;
+  cfg.run.slots = 100;
   const SimulationResult res = Simulator(ecg, model, *policy, cfg).run();
   EXPECT_LE(res.avg_strategy_size, 3.0 + 1e-9);
   EXPECT_GT(res.avg_strategy_size, 1.0);
@@ -135,7 +139,8 @@ TEST(Thompson, WorksEndToEndAndLearns) {
   auto policy = make_policy(PolicyKind::kThompson, params);
   EXPECT_EQ(policy->name(), "Thompson");
   SimulationConfig cfg;
-  cfg.slots = 1000;
+  cfg.run.series_stride = 1;
+  cfg.run.slots = 1000;
   const SimulationResult res = Simulator(ecg, model, *policy, cfg).run();
   const double avg_expected =
       res.total_expected / static_cast<double>(res.total_slots);

@@ -157,9 +157,10 @@ TEST(TieredSimdDifferential, DecisionsByteIdenticalAcrossTiersAndSimdLevels) {
     const Graph& h = ecg.graph();
 
     DistributedPtasConfig seed_cfg;
-    seed_cfg.r = r;
+    seed_cfg.solver.D = 0;
+    seed_cfg.solver.r = r;
     seed_cfg.use_decision_cache = false;
-    seed_cfg.local_solve_parallelism = 1;
+    seed_cfg.solver.parallelism = 1;
     DistributedPtasConfig cached_cfg = seed_cfg;
     cached_cfg.use_decision_cache = true;
     DistributedRobustPtas seed_engine(h, seed_cfg);
