@@ -10,43 +10,58 @@
 namespace mhca {
 
 ConflictGraph random_geometric(int n, double side, double radius, Rng& rng,
-                               bool force_connected, int max_attempts) {
+                               bool force_connected, int max_attempts,
+                               OnDisconnected on_exhausted) {
   MHCA_ASSERT(n >= 1, "need at least one node");
   MHCA_ASSERT(side > 0.0 && radius > 0.0, "side and radius must be positive");
-  for (int attempt = 0; attempt < max_attempts; ++attempt) {
+  const auto detail = [&] {
+    const double avg_degree = static_cast<double>(n - 1) * std::numbers::pi *
+                              radius * radius / (side * side);
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "in %d attempts: n = %d, radius = %.4g, side = %.4g, "
+                  "expected average degree %.3g",
+                  max_attempts, n, radius, side, avg_degree);
+    return std::string(buf);
+  };
+  for (int attempt = 1; attempt <= max_attempts; ++attempt) {
     std::vector<Point> pts;
     pts.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i)
       pts.push_back(Point{rng.uniform(0.0, side), rng.uniform(0.0, side)});
     ConflictGraph cg = ConflictGraph::from_positions(std::move(pts), radius);
     if (!force_connected || cg.graph().is_connected()) return cg;
+    if (attempt == max_attempts &&
+        on_exhausted == OnDisconnected::kAcceptLast) {
+      std::fprintf(stderr,
+                   "note: no connected random geometric graph %s; using the "
+                   "last (disconnected) sample. Set "
+                   "topology.force_connected=true to abort instead, or false "
+                   "to skip the retries.\n",
+                   detail().c_str());
+      return cg;
+    }
   }
   // Large sparse disk graphs are almost never connected: more attempts
   // rarely help, accepting several components does.
-  const double avg_degree = static_cast<double>(n - 1) * std::numbers::pi *
-                            radius * radius / (side * side);
-  char detail[160];
-  std::snprintf(detail, sizeof(detail),
-                "in %d attempts: n = %d, radius = %.4g, side = %.4g, "
-                "expected average degree %.3g",
-                max_attempts, n, radius, side, avg_degree);
   MHCA_ASSERT(false,
-              std::string("failed to sample a connected random geometric "
-                          "graph ") +
-                  detail +
+              "failed to sample a connected random geometric graph " +
+                  detail() +
                   "; set topology.force_connected=false to accept a "
                   "disconnected graph (the usual fix for large sparse "
                   "networks), or raise topology.avg_degree (or radius)");
 }
 
 ConflictGraph random_geometric_avg_degree(int n, double avg_degree, Rng& rng,
-                                          bool force_connected) {
+                                          bool force_connected,
+                                          OnDisconnected on_exhausted) {
   MHCA_ASSERT(avg_degree > 0.0, "average degree must be positive");
   const double side = std::sqrt(static_cast<double>(n));
   // E[deg] ~= (n-1) * pi r^2 / side^2  =>  r = side * sqrt(d / (pi (n-1))).
   const double denom = std::numbers::pi * static_cast<double>(std::max(1, n - 1));
   const double radius = side * std::sqrt(avg_degree / denom);
-  return random_geometric(n, side, radius, rng, force_connected);
+  return random_geometric(n, side, radius, rng, force_connected,
+                          /*max_attempts=*/200, on_exhausted);
 }
 
 ConflictGraph linear_network(int n) {

@@ -37,7 +37,7 @@ class BfsScratch {
 
   /// |J_{k_inner}(v)| and |J_{k_outer}(v)| in one BFS without materializing
   /// or sorting either ball — the count pass of the NeighborhoodCache's
-  /// count-then-fill parallel build only needs the sizes.
+  /// count-then-fill build only needs the sizes.
   void two_radius_sizes(const Graph& g, int v, int k_inner, int k_outer,
                         std::int64_t& inner_size, std::int64_t& outer_size);
 

@@ -33,7 +33,7 @@ NeighborhoodCache::EballTier NeighborhoodCache::select_eball_tier(int n) {
 }
 
 NeighborhoodCache::NeighborhoodCache(const Graph& g, int r, int parallelism)
-    : r_(r), size_(g.size()), tier_(select_eball_tier(g.size())) {
+    : graph_(&g), r_(r), size_(g.size()), tier_(select_eball_tier(g.size())) {
   MHCA_ASSERT(r >= 1, "r must be at least 1");
   const auto n = static_cast<std::size_t>(size_);
   const bool implicit = tier_ == EballTier::kImplicit;
@@ -44,25 +44,19 @@ NeighborhoodCache::NeighborhoodCache(const Graph& g, int r, int parallelism)
     e_offsets_.assign(n + 1, 0);
 
   const int workers = build_workers(parallelism, size_);
-  if (workers <= 1) {
-    // Serial single-pass build: one BFS to 2r+1 hops per vertex yields both
-    // balls (the r-ball is the distance-<= r subset of the election ball),
-    // appended as they are produced. The implicit tier keeps only the
-    // election ball's size.
+  if (workers <= 1 && !implicit) {
+    // Serial single-pass build (explicit tier): one BFS to 2r+1 hops per
+    // vertex yields both balls (the r-ball is the distance-<= r subset of
+    // the election ball), appended as they are produced.
     BfsScratch scratch(size_);
     std::vector<int> r_ball;
     std::vector<int> e_ball;
     for (int v = 0; v < size_; ++v) {
       scratch.two_radius_neighborhood(g, v, r_, 2 * r_ + 1, r_ball, e_ball);
-      if (implicit) {
-        e_sizes_[static_cast<std::size_t>(v)] =
-            static_cast<int>(e_ball.size());
-      } else {
-        e_offsets_[static_cast<std::size_t>(v) + 1] =
-            e_offsets_[static_cast<std::size_t>(v)] +
-            static_cast<std::int64_t>(e_ball.size());
-        e_data_.insert(e_data_.end(), e_ball.begin(), e_ball.end());
-      }
+      e_offsets_[static_cast<std::size_t>(v) + 1] =
+          e_offsets_[static_cast<std::size_t>(v)] +
+          static_cast<std::int64_t>(e_ball.size());
+      e_data_.insert(e_data_.end(), e_ball.begin(), e_ball.end());
       r_offsets_[static_cast<std::size_t>(v) + 1] =
           r_offsets_[static_cast<std::size_t>(v)] +
           static_cast<std::int64_t>(r_ball.size());
@@ -71,7 +65,8 @@ NeighborhoodCache::NeighborhoodCache(const Graph& g, int r, int parallelism)
     return;
   }
 
-  // Parallel count-then-fill build. Each worker owns a contiguous vertex
+  // Count-then-fill build (the implicit tier at any worker count, the
+  // explicit tier at two or more). Each worker owns a contiguous vertex
   // slice; per-vertex output is a pure function of (g, v, r), so the filled
   // arrays are byte-identical to the serial build at any worker count
   // (tests/large_n_test.cc pins this). Pass 1 runs a size-only BFS per
@@ -79,8 +74,8 @@ NeighborhoodCache::NeighborhoodCache(const Graph& g, int r, int parallelism)
   // pass 2, after a serial prefix sum, re-runs the BFS and writes each ball
   // into its final CSR span — two BFS sweeps, but no transient second copy
   // of the multi-hundred-MB ball arrays. On the implicit tier the e-ball
-  // count lands directly in e_sizes_ and the fill pass only cross-checks
-  // it against the re-enumerated ball.
+  // count lands directly in e_sizes_, and the fill pass enumerates only
+  // the r-ball: no (2r+1)-ball is ever materialized or sorted.
   std::vector<BfsScratch> scratches(static_cast<std::size_t>(workers));
   const auto slice = [&](int j) {
     const std::int64_t lo = static_cast<std::int64_t>(j) * size_ / workers;
@@ -121,25 +116,32 @@ NeighborhoodCache::NeighborhoodCache(const Graph& g, int r, int parallelism)
         const auto [lo, hi] = slice(j);
         for (int v = lo; v < hi; ++v) {
           const auto vi = static_cast<std::size_t>(v);
-          scratch.two_radius_neighborhood(g, v, r_, 2 * r_ + 1, r_ball,
-                                          e_ball);
-          const std::int64_t e_counted =
-              implicit ? e_sizes_[vi] : e_offsets_[vi + 1] - e_offsets_[vi];
+          if (implicit) {
+            scratch.k_hop_neighborhood(g, v, r_, r_ball);
+          } else {
+            scratch.two_radius_neighborhood(g, v, r_, 2 * r_ + 1, r_ball,
+                                            e_ball);
+            MHCA_ASSERT(static_cast<std::int64_t>(e_ball.size()) ==
+                            e_offsets_[vi + 1] - e_offsets_[vi],
+                        "count pass disagrees with fill pass");
+            std::copy(e_ball.begin(), e_ball.end(),
+                      e_data_.begin() +
+                          static_cast<std::ptrdiff_t>(e_offsets_[vi]));
+          }
           MHCA_ASSERT(static_cast<std::int64_t>(r_ball.size()) ==
-                              r_offsets_[vi + 1] - r_offsets_[vi] &&
-                          static_cast<std::int64_t>(e_ball.size()) ==
-                              e_counted,
+                          r_offsets_[vi + 1] - r_offsets_[vi],
                       "count pass disagrees with fill pass");
           std::copy(r_ball.begin(), r_ball.end(),
                     r_data_.begin() +
                         static_cast<std::ptrdiff_t>(r_offsets_[vi]));
-          if (!implicit)
-            std::copy(e_ball.begin(), e_ball.end(),
-                      e_data_.begin() +
-                          static_cast<std::ptrdiff_t>(e_offsets_[vi]));
         }
       },
       workers);
+}
+
+int NeighborhoodCache::recount_election_ball(int v) const {
+  ++size_recounts_;
+  return scratch_.k_hop_size(*graph_, v, 2 * r_ + 1);
 }
 
 std::int64_t NeighborhoodCache::resident_bytes() const {
@@ -153,7 +155,7 @@ std::int64_t NeighborhoodCache::resident_bytes() const {
 std::int64_t NeighborhoodCache::explicit_layout_bytes() const {
   if (tier_ == EballTier::kExplicit) return resident_bytes();
   std::int64_t e_entries = 0;
-  for (const int s : e_sizes_) e_entries += s;
+  for (int v = 0; v < size_; ++v) e_entries += election_ball_size(v);
   const auto bytes = [](const auto& vec) {
     return static_cast<std::int64_t>(vec.size() * sizeof(vec[0]));
   };
@@ -167,12 +169,13 @@ void NeighborhoodCache::apply_delta(const Graph& g,
                                     std::span<const int> touched) {
   MHCA_ASSERT(built(), "apply_delta on an unbuilt cache");
   MHCA_ASSERT(g.size() == size_, "graph size changed under the cache");
+  graph_ = &g;
   if (touched.empty()) {
     last_invalidated_ = 0;
     return;
   }
 
-  // Each layer recomputes only the owners within k-1 hops of `touched` on
+  // Each layer invalidates only the owners within k-1 hops of `touched` on
   // the already-patched graph, for its own radius k (the proof is in the
   // header). Recomputed balls are buffered flat (the buffers hold the
   // blast radius, not the whole cache) and written back by `patch`: a span
@@ -180,7 +183,6 @@ void NeighborhoodCache::apply_delta(const Graph& g,
   // change, keeps its offset and is overwritten in place; only the suffix
   // from the first size-changing owner on shifts and is rewritten once.
   const auto n = static_cast<std::size_t>(size_);
-  BfsScratch scratch(size_);
   std::vector<int> aff;  // owners to recompute, ascending
   std::vector<std::int64_t> a_off;
   std::vector<int> a_data, ball;
@@ -188,7 +190,7 @@ void NeighborhoodCache::apply_delta(const Graph& g,
     a_off.assign(1, 0);
     a_data.clear();
     for (int v : aff) {
-      scratch.k_hop_neighborhood(g, v, k, ball);
+      scratch_.k_hop_neighborhood(g, v, k, ball);
       a_data.insert(a_data.end(), ball.begin(), ball.end());
       a_off.push_back(static_cast<std::int64_t>(a_data.size()));
     }
@@ -250,17 +252,16 @@ void NeighborhoodCache::apply_delta(const Graph& g,
   };
 
   // r-balls: owners within r-1 hops.
-  scratch.multi_source_k_hop(g, touched, r_ - 1, aff);
+  scratch_.multi_source_k_hop(g, touched, r_ - 1, aff);
   recompute(r_);
   patch(r_offsets_, r_data_);
 
-  // Election balls: owners within 2r hops. The implicit tier stores only
-  // sizes, so it counts each ball without materializing or sorting it.
-  scratch.multi_source_k_hop(g, touched, 2 * r_, aff);
+  // Election balls: owners within 2r hops. The implicit tier keeps only
+  // sizes, and only the flood accounting reads them, so it marks them
+  // stale here and election_ball_size recounts the ones that are read.
+  scratch_.multi_source_k_hop(g, touched, 2 * r_, aff);
   if (tier_ == EballTier::kImplicit) {
-    for (int v : aff)
-      e_sizes_[static_cast<std::size_t>(v)] =
-          scratch.k_hop_size(g, v, 2 * r_ + 1);
+    for (int v : aff) e_sizes_[static_cast<std::size_t>(v)] = kStale;
   } else {
     recompute(2 * r_ + 1);
     patch(e_offsets_, e_data_);

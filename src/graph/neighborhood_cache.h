@@ -14,9 +14,10 @@
 //   - kExplicit (n <= Graph::kAdjacencyMatrixLimit): every (2r+1)-ball is a
 //     stored int32 CSR span, as the r-balls always are. Fast to scan, and
 //     cheap at small n.
-//   - kImplicit (larger graphs): only the per-vertex ball *size* is stored
-//     (4 bytes/vertex); membership is re-enumerated on demand by bounded
-//     BFS (`BfsScratch::k_hop_find`). At 50k vertices / r = 2 the explicit
+//   - kImplicit (larger graphs): only the per-vertex ball *size* is kept
+//     (4 bytes/vertex, a memo refreshed on read after a graph change);
+//     membership is re-enumerated on demand by bounded BFS
+//     (`BfsScratch::k_hop_find`). At 50k vertices / r = 2 the explicit
 //     e-ball spans are ~100 MB and dwarf everything else in the cache;
 //     dropping them is what lets the cached decision path reach 10^6
 //     vertices on a normal dev box. The election only ever runs an
@@ -33,9 +34,11 @@
 //
 // Reuse contract: the cache borrows the graph; the graph must be finalized
 // first. When the graph *does* change (dynamics, src/dynamics/README.md),
-// `apply_delta` re-synchronizes the cache by recomputing only the balls
+// `apply_delta` re-synchronizes the cache by invalidating only the balls
 // that can have moved: a k-ball only if its owner is within k-1 hops of a
-// touched vertex, so r-1 hops for r-balls and 2r for election balls.
+// touched vertex, so r-1 hops for r-balls and 2r for election balls. Spans
+// are recomputed at once; implicit-tier sizes are only marked stale and
+// recounted by the first `election_ball_size` read.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +46,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/hop.h"
 #include "util/assert.h"
 
 namespace mhca {
@@ -62,12 +66,13 @@ class NeighborhoodCache {
   /// two-pass count-then-fill layout into the CSR arrays (pass 1 sizes
   /// every ball, a prefix sum fixes each vertex's span, pass 2 re-runs the
   /// BFS writing into its disjoint slice), so the built cache is
-  /// byte-identical at any worker count *and* at either tier (the implicit
-  /// tier keeps both passes; its fill pass checks the re-enumerated e-ball
-  /// size against the count pass and simply doesn't store the members).
-  /// 1 = the serial single-pass build; 0 = the MHCA_CACHE_BUILD_WORKERS
-  /// environment variable if set (CI uses it to pin determinism across
-  /// worker counts), else one worker per hardware thread.
+  /// byte-identical at any worker count *and* at either tier. The implicit
+  /// tier always builds this way, at one worker too: its e-ball sizes come
+  /// from the count pass, and its fill pass enumerates r-balls only (and
+  /// cross-checks their count). 1 = the serial single-pass build on the
+  /// explicit tier; 0 = the MHCA_CACHE_BUILD_WORKERS environment variable
+  /// if set (CI uses it to pin determinism across worker counts), else one
+  /// worker per hardware thread.
   NeighborhoodCache(const Graph& g, int r, int parallelism = 0);
 
   bool built() const { return !r_offsets_.empty(); }
@@ -105,14 +110,27 @@ class NeighborhoodCache {
     return static_cast<int>(r_ball(v).size());
   }
 
-  /// |J_{2r+1}(v)| — stored on both tiers (the protocol's message
-  /// accounting needs it every round; 4 bytes/vertex is the whole price of
-  /// the implicit tier).
+  /// |J_{2r+1}(v)|, on both tiers. Only the message accounting reads it
+  /// (the WB and LD floods of previous winners and leaders), so the
+  /// implicit tier keeps it as a memo: `apply_delta` marks the sizes it may
+  /// have moved as stale, and the first read of a stale size recounts the
+  /// ball on the graph last passed in (`BfsScratch::k_hop_size`) and stores
+  /// it. Every read returns the current size; no caller sees a stale entry.
+  /// A recounting read writes the memo, so concurrent readers are safe only
+  /// while no size is stale (after construction, or once every size has
+  /// been read).
   int election_ball_size(int v) const {
-    if (tier_ == EballTier::kImplicit)
-      return e_sizes_[static_cast<std::size_t>(v)];
-    return static_cast<int>(election_ball(v).size());
+    if (tier_ == EballTier::kExplicit)
+      return static_cast<int>(election_ball(v).size());
+    int& s = e_sizes_[static_cast<std::size_t>(v)];
+    if (s == kStale) s = recount_election_ball(v);
+    return s;
   }
+
+  /// Stale implicit-tier sizes recounted by `election_ball_size` since
+  /// construction (always 0 on the explicit tier). Deterministic: it counts
+  /// work, not time.
+  std::int64_t size_recounts() const { return size_recounts_; }
 
   /// Total stored ball entries (memory introspection; the implicit tier
   /// contributes no e-ball entries).
@@ -125,7 +143,8 @@ class NeighborhoodCache {
 
   /// Bytes the cache would hold with the e-ball layer stored explicitly
   /// (the pre-tiered layout): equals resident_bytes() on the explicit
-  /// tier. bench_decision_path gates explicit_layout_bytes() /
+  /// tier. Reads every size through `election_ball_size`, so it recounts
+  /// any stale one. bench_decision_path gates explicit_layout_bytes() /
   /// resident_bytes() >= 4 at the 50k / r=2 cell (`cache_bytes_ok`).
   std::int64_t explicit_layout_bytes() const;
 
@@ -139,22 +158,25 @@ class NeighborhoodCache {
   ///   - lost member u: an old path of length <= k used a removed edge
   ///     (a, b); the prefix v..a before the first one survives in the new
   ///     graph, so d_new(v, a) <= k-1 and a is touched.
-  /// So each layer recomputes only its own reach: r-balls for owners within
-  /// r-1 hops of T, election balls for owners within 2r hops, each found
-  /// by one multi-source BFS on the new graph.
+  /// So each layer invalidates only its own reach: r-balls for owners
+  /// within r-1 hops of T, election balls for owners within 2r hops, each
+  /// found by one multi-source BFS on the new graph.
   ///
-  /// Only moved bytes are written: spans whose size is unchanged, and every
-  /// span before the first size change, keep their offsets and are patched
-  /// in place; the suffix from the first size-changing owner on is
-  /// rewritten once. On the implicit tier the e-ball update is a counting
-  /// BFS per owner, stored as a size. The result is byte-identical to a
-  /// from-scratch rebuild (tests/dynamics_differential_test.cc fuzzes this
-  /// claim).
+  /// Spans are recomputed here, and only moved bytes are written: spans
+  /// whose size is unchanged, and every span before the first size change,
+  /// keep their offsets and are patched in place; the suffix from the first
+  /// size-changing owner on is rewritten once. On the implicit tier the
+  /// e-ball sizes are only marked stale: no size BFS runs here, and
+  /// `election_ball_size` recounts a stale size when it is read. Every read
+  /// after the call equals a from-scratch rebuild
+  /// (tests/dynamics_differential_test.cc fuzzes this claim).
   void apply_delta(const Graph& g, std::span<const int> touched);
 
-  /// Election balls the last apply_delta recomputed: |reach(T, 2r)|, the
+  /// Election balls the last apply_delta invalidated: |reach(T, 2r)|, the
   /// owners within 2r hops of the touched vertices (introspection for
-  /// benches and tests). The r-ball layer recomputes a subset of these.
+  /// benches and tests). The explicit tier recomputes each of them; the
+  /// implicit tier marks their sizes stale. The r-ball layer recomputes a
+  /// subset of these.
   int last_invalidated() const { return last_invalidated_; }
 
  private:
@@ -166,6 +188,13 @@ class NeighborhoodCache {
     return {data.data() + b, e - b};
   }
 
+  /// Marks an implicit-tier size that apply_delta may have moved.
+  static constexpr int kStale = -1;
+
+  /// Count |J_{2r+1}(v)| on the borrowed graph (a stale memo entry).
+  int recount_election_ball(int v) const;
+
+  const Graph* graph_ = nullptr;  ///< Borrowed; refreshed by apply_delta.
   int r_ = 0;
   int size_ = 0;
   EballTier tier_ = EballTier::kExplicit;
@@ -173,7 +202,12 @@ class NeighborhoodCache {
   std::vector<int> r_data_;
   std::vector<std::int64_t> e_offsets_;  ///< size_+1; explicit tier only.
   std::vector<int> e_data_;              ///< Explicit tier only.
-  std::vector<int> e_sizes_;             ///< size_; implicit tier only.
+  /// size_; implicit tier only. kStale until the next read recounts it.
+  mutable std::vector<int> e_sizes_;
+  /// apply_delta's BFS workspace, also used by the implicit tier's
+  /// recounts. Sized on first use, so a static graph never allocates it.
+  mutable BfsScratch scratch_;
+  mutable std::int64_t size_recounts_ = 0;
   int last_invalidated_ = 0;
 };
 

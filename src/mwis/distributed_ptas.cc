@@ -436,7 +436,10 @@ void DistributedRobustPtas::solve_local_instances(
 }
 
 void DistributedRobustPtas::on_graph_delta(std::span<const int> touched) {
-  if (cache_.built()) cache_.apply_delta(h_, touched);
+  if (cache_.built()) {
+    cache_.apply_delta(h_, touched);
+    balls_invalidated_ += cache_.last_invalidated();
+  }
   // Scoped invalidation of the memoized flood ball sizes, with the cache's
   // bound: J_k(v) can change only if d(v, touched) <= k-1 on the new
   // graph. A gained member is reached over an added edge (a, b) whose near

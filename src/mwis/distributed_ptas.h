@@ -160,6 +160,14 @@ class DistributedRobustPtas {
   /// the previous strategy floods its new estimate within 2r+1 hops.
   std::int64_t weight_broadcast_messages(std::span<const int> prev_winners);
 
+  /// Incremental-maintenance work since construction, deterministic: the
+  /// election balls on_graph_delta invalidated (the sum of the cache's
+  /// last_invalidated()), and the stale implicit-tier ball sizes the flood
+  /// accounting has recounted since (NeighborhoodCache::size_recounts).
+  /// Both are 0 without the decision cache.
+  std::int64_t balls_invalidated() const { return balls_invalidated_; }
+  std::int64_t size_recounts() const { return cache_.size_recounts(); }
+
   const DecisionStageTimes& stage_times() const { return stage_times_; }
   void reset_stage_times() { stage_times_ = {}; }
 
@@ -211,6 +219,7 @@ class DistributedRobustPtas {
   GreedyMwisSolver greedy_;
   BfsScratch scratch_;
   NeighborhoodCache cache_;  ///< Built once iff cfg_.use_decision_cache.
+  std::int64_t balls_invalidated_ = 0;  ///< See balls_invalidated().
   /// radius -> per-vertex |J_radius(v)| (-1 = not yet computed). Serves the
   /// radii the cache does not store (the 3r+2 LB flood).
   std::unordered_map<int, std::vector<int>> ball_size_cache_;

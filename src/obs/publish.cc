@@ -67,6 +67,8 @@ void publish_simulation(MetricsRegistry& reg, const SimulationResult& res) {
   reg.gauge("decision.theta").set(res.theta);
   reg.gauge("decision.strategy_size")
       .set(static_cast<double>(res.last_strategy.size()));
+  reg.counter("dynamics.balls_invalidated").add(res.balls_invalidated);
+  reg.counter("dynamics.size_recounts").add(res.size_recounts);
 }
 
 }  // namespace mhca::obs

@@ -38,7 +38,8 @@ void publish_transport_stats(MetricsRegistry& reg,
 void publish_membership_counters(MetricsRegistry& reg,
                                  const net::RuntimeCounters& rc);
 
-/// decision.* totals for a lockstep Simulator run.
+/// decision.* totals and the dynamics.* maintenance counters
+/// (balls_invalidated, size_recounts) for a lockstep Simulator run.
 void publish_simulation(MetricsRegistry& reg, const SimulationResult& res);
 
 }  // namespace mhca::obs

@@ -33,6 +33,12 @@ void register_builtin_topologies(TopologyRegistry& reg) {
           [](const ParamMap& p, Rng& rng) {
             const int n = require_int(p, "nodes", "topology 'geometric'");
             const bool fc = p.get_bool("force_connected", true);
+            // Unset, the generator still retries for a connected sample but
+            // keeps the last one instead of aborting: large sparse disk
+            // graphs are almost never connected. An explicit true aborts.
+            const OnDisconnected on_exhausted =
+                p.has("force_connected") ? OnDisconnected::kAbort
+                                         : OnDisconnected::kAcceptLast;
             if (p.has("side") || p.has("radius")) {
               if (!(p.has("side") && p.has("radius")))
                 throw ScenarioError(
@@ -41,10 +47,11 @@ void register_builtin_topologies(TopologyRegistry& reg) {
               return random_geometric(
                   n, p.get_double("side", 0.0), p.get_double("radius", 0.0),
                   rng, fc,
-                  checked_int32(p.get_int("max_attempts", 200), "max_attempts"));
+                  checked_int32(p.get_int("max_attempts", 200), "max_attempts"),
+                  on_exhausted);
             }
             return random_geometric_avg_degree(
-                n, p.get_double("avg_degree", 6.0), rng, fc);
+                n, p.get_double("avg_degree", 6.0), rng, fc, on_exhausted);
           },
           /*required_keys=*/{"nodes"});
   reg.add(

@@ -185,6 +185,10 @@ SimulationResult Simulator::run() {
   out.final_means = est.means();
   out.final_counts = est.counts();
   out.last_strategy = strategy;
+  if (engine) {
+    out.balls_invalidated = engine->balls_invalidated();
+    out.size_recounts = engine->size_recounts();
+  }
   return out;
 }
 

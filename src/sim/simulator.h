@@ -43,6 +43,12 @@ struct SimulationResult {
   std::int64_t total_mini_timeslots = 0;  ///< if count_messages
   double decision_seconds = 0.0;          ///< wall time in oracle calls
   double theta = 0.5;
+  // Incremental maintenance work of the distributed engine (see
+  // DistributedRobustPtas::balls_invalidated / size_recounts). 0 on a
+  // static graph, under dynamics.incremental = false, and for the
+  // centralized solvers.
+  std::int64_t balls_invalidated = 0;
+  std::int64_t size_recounts = 0;
 
   // Final learning state (per arm).
   std::vector<double> final_means;

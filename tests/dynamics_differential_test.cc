@@ -8,7 +8,9 @@
 //
 //   1. Structural: random delta sequences applied to a Graph equal a
 //      from-scratch rebuild of the same edge set, row by row and bit by bit,
-//      and a cache maintained by apply_delta equals a fresh cache.
+//      and a cache maintained by apply_delta equals a fresh cache, also
+//      when implicit-tier sizes are read only on some slots and so stay
+//      stale across several deltas.
 //   2. Engine: a DistributedRobustPtas kept alive across deltas via
 //      on_graph_delta() takes byte-identical decisions (winners + weight +
 //      message accounting) to a fresh engine per delta.
@@ -20,6 +22,7 @@
 // Counting sequences: each structural case and each end-to-end run applies
 // one independently seeded random delta *sequence*; the total crosses the
 // 200-sequence bar with margin (see kStructuralCases and the mode grid).
+#include <cstdlib>
 #include <memory>
 #include <set>
 #include <string>
@@ -31,6 +34,7 @@
 #include "dynamics/dynamic_network.h"
 #include "dynamics/registries.h"
 #include "graph/generators.h"
+#include "graph/hop.h"
 #include "graph/neighborhood_cache.h"
 #include "mwis/distributed_ptas.h"
 #include "scenario/runner.h"
@@ -46,6 +50,26 @@ using scenario::ScenarioRunner;
 constexpr int kStructuralCases = 140;  // sequences in layer 1
 constexpr int kEngineCases = 30;       // sequences in layer 2
 constexpr int kDeltasPerCase = 12;
+
+const char* kChurnScenario = R"(name = dyn-work
+[topology]
+kind = geometric
+nodes = 30
+avg_degree = 4.5
+force_connected = false
+[channel]
+kind = gaussian
+channels = 3
+[policy]
+kind = cab
+[dynamics]
+kind = churn
+leave_prob = 0.05
+join_prob = 0.3
+[run]
+slots = 40
+count_messages = true
+)";
 
 // ---------------------------------------------------------------- helpers
 
@@ -263,6 +287,146 @@ TEST(DynamicsDifferential, ChordOnAPathRecomputesExactlyTheTwoRReach) {
     EXPECT_EQ(cache.last_invalidated(), 2 * (4 * r + 1));
     ASSERT_NO_FATAL_FAILURE(expect_matches_fresh_build(cache, g));
   }
+}
+
+// ------------------------------------ lazy implicit-tier e-ball sizes
+
+TEST(DynamicsDifferential, LazySizesMatchFreshBuildWhenReadOnRandomSlots) {
+  // Past the matrix limit the e-ball layer is implicit, and apply_delta
+  // only marks the sizes it may have moved as stale. Sizes are read here on
+  // a random subset of slots and vertices, so entries stay stale across
+  // several deltas: every read must still equal a fresh build, apply_delta
+  // itself must recount nothing, and the recounts must equal the stale
+  // entries read (tracked independently from reach(T, 2r)).
+  const int n = Graph::kAdjacencyMatrixLimit + 40;
+  for (int r = 1; r <= 3; ++r) {
+    SCOPED_TRACE("r = " + std::to_string(r));
+    Rng rng(7100 + static_cast<std::uint64_t>(r));
+    ConflictGraph base = random_geometric_avg_degree(
+        n, 4.0, rng, /*force_connected=*/false);
+    std::vector<std::pair<int, int>> edge_vec = edges_of(base.graph());
+    std::set<std::pair<int, int>> present(edge_vec.begin(), edge_vec.end());
+    Graph g = from_edge_list(n, edge_vec);
+    NeighborhoodCache cache(g, r);
+    ASSERT_EQ(cache.eball_tier(), NeighborhoodCache::EballTier::kImplicit);
+
+    BfsScratch scratch(n);
+    std::vector<char> stale(static_cast<std::size_t>(n), 0);
+    std::vector<int> reach;
+    std::vector<std::pair<int, int>> added, removed;
+    int read_slots = 0;
+    std::int64_t stale_reads = 0;
+    for (int d = 0; d < 24; ++d) {
+      SCOPED_TRACE("delta " + std::to_string(d));
+      random_delta(n, present, rng, added, removed);
+      if (added.empty() && removed.empty()) continue;
+      g.apply_delta(added, removed);
+      const std::vector<int> touched = touched_of(added, removed);
+      const std::int64_t before = cache.size_recounts();
+      cache.apply_delta(g, touched);
+      ASSERT_EQ(cache.size_recounts(), before) << "apply_delta recounted";
+      scratch.multi_source_k_hop(g, touched, 2 * r, reach);
+      ASSERT_EQ(cache.last_invalidated(), static_cast<int>(reach.size()));
+      for (int v : reach) stale[static_cast<std::size_t>(v)] = 1;
+
+      if (!rng.bernoulli(0.3)) continue;  // sizes stay stale this slot
+      ++read_slots;
+      const NeighborhoodCache fresh(g, r, 1);
+      std::int64_t expected = 0;
+      for (int v = 0; v < n; ++v) {
+        if (!rng.bernoulli(0.5)) continue;
+        expected += stale[static_cast<std::size_t>(v)];
+        stale[static_cast<std::size_t>(v)] = 0;
+        ASSERT_EQ(cache.election_ball_size(v), fresh.election_ball_size(v))
+            << "e-ball size " << v << " diverged";
+      }
+      ASSERT_EQ(cache.size_recounts() - before, expected);
+      stale_reads += expected;
+    }
+    EXPECT_GE(read_slots, 3);
+    EXPECT_GT(stale_reads, 0);
+    // Whatever is still stale, a full read serves it correctly.
+    ASSERT_NO_FATAL_FAILURE(expect_matches_fresh_build(cache, g));
+  }
+}
+
+TEST(DynamicsDifferential, ImplicitTierRecountsOnlyTheStaleSizesRead) {
+  // Deterministic work check on a path past the matrix limit: a chord
+  // (a, b) invalidates exactly |reach(T, 2r)| = 2 (4r + 1) sizes, and
+  // apply_delta recounts none of them. Reading every size recounts exactly
+  // those, once; reading again recounts nothing. After the chord is
+  // removed, reading a single stale size recounts one.
+  const int n = Graph::kAdjacencyMatrixLimit + 40;
+  const int a = 3000, b = 5000;
+  for (int r = 1; r <= 3; ++r) {
+    SCOPED_TRACE("r = " + std::to_string(r));
+    std::vector<std::pair<int, int>> path;
+    for (int i = 0; i + 1 < n; ++i) path.emplace_back(i, i + 1);
+    Graph g = from_edge_list(n, path);
+    NeighborhoodCache cache(g, r);
+    ASSERT_EQ(cache.eball_tier(), NeighborhoodCache::EballTier::kImplicit);
+    const std::vector<std::pair<int, int>> chord = {{a, b}};
+    const std::vector<int> touched = {a, b};
+    const int reach = 2 * (4 * r + 1);
+
+    g.apply_delta(chord, {});
+    cache.apply_delta(g, touched);
+    EXPECT_EQ(cache.last_invalidated(), reach);
+    EXPECT_EQ(cache.size_recounts(), 0);
+    ASSERT_NO_FATAL_FAILURE(expect_matches_fresh_build(cache, g));
+    EXPECT_EQ(cache.size_recounts(), reach);
+    ASSERT_NO_FATAL_FAILURE(expect_matches_fresh_build(cache, g));
+    EXPECT_EQ(cache.size_recounts(), reach);
+
+    g.apply_delta({}, chord);
+    cache.apply_delta(g, touched);
+    EXPECT_EQ(cache.last_invalidated(), reach);
+    EXPECT_EQ(cache.size_recounts(), reach);
+    EXPECT_EQ(cache.election_ball_size(a), 2 * (2 * r + 1) + 1);
+    EXPECT_EQ(cache.size_recounts(), reach + 1);
+    ASSERT_NO_FATAL_FAILURE(expect_matches_fresh_build(cache, g));
+    EXPECT_EQ(cache.size_recounts(), 2 * reach);
+  }
+}
+
+/// Forces the e-ball tier for the engines built in its scope.
+class EballTierOverride {
+ public:
+  explicit EballTierOverride(const char* tier) {
+    ::setenv("MHCA_EBALL_TIER", tier, /*overwrite=*/1);
+  }
+  ~EballTierOverride() { ::unsetenv("MHCA_EBALL_TIER"); }
+};
+
+TEST(DynamicsDifferential, SimulationReportsMaintenanceWork) {
+  // SimulationResult carries the engine's maintenance counters. Both tiers
+  // invalidate the same balls (same graph, same deltas); only the implicit
+  // tier recounts sizes, and never more than were invalidated. A full
+  // rebuild per change does no incremental work at all.
+  Scenario s = scenario::parse_scenario(kChurnScenario);
+  SimulationResult expl, impl;
+  {
+    EballTierOverride force("explicit");
+    expl = ScenarioRunner(s).run();
+  }
+  {
+    EballTierOverride force("implicit");
+    impl = ScenarioRunner(s).run();
+  }
+  EXPECT_EQ(impl.last_strategy, expl.last_strategy);
+  EXPECT_EQ(impl.total_messages, expl.total_messages);
+  EXPECT_GT(expl.balls_invalidated, 0);
+  EXPECT_EQ(impl.balls_invalidated, expl.balls_invalidated);
+  EXPECT_EQ(expl.size_recounts, 0);
+  EXPECT_GT(impl.size_recounts, 0);
+  EXPECT_LE(impl.size_recounts, impl.balls_invalidated);
+
+  scenario::apply_override(s, "dynamics.incremental=false");
+  EballTierOverride force("implicit");
+  const SimulationResult full = ScenarioRunner(s).run();
+  EXPECT_EQ(full.total_messages, impl.total_messages);
+  EXPECT_EQ(full.balls_invalidated, 0);
+  EXPECT_EQ(full.size_recounts, 0);
 }
 
 // -------------------------------------------- batched delta coalescing

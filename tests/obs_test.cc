@@ -484,6 +484,9 @@ TEST(ObsSchema, SimulationSnapshotCoversDecisionDomain) {
             static_cast<std::int64_t>(res.decisions));
   EXPECT_DOUBLE_EQ(reg.gauge_value("decision.total_observed"),
                    res.total_observed);
+  EXPECT_EQ(reg.counter_value("dynamics.balls_invalidated"),
+            res.balls_invalidated);
+  EXPECT_EQ(reg.counter_value("dynamics.size_recounts"), res.size_recounts);
   // The lockstep snapshot satisfies its own checked-in schema.
   const std::string schema = read_file(
       std::string(MHCA_SOURCE_DIR) + "/tools/metrics_schema_simulation.json");

@@ -169,11 +169,13 @@ std::string error_message(Fn&& fn) {
 }
 
 TEST(ScenarioErrors, DisconnectedGeometricTopologyNamesTheFix) {
-  // 800 nodes at average degree 5 are almost never connected; the message
-  // must name the key that fixes it, not just ask for a bigger radius.
+  // 800 nodes at average degree 5 are almost never connected. With
+  // force_connected explicitly true the run aborts, and the message must
+  // name the key that fixes it, not just ask for a bigger radius.
   Scenario s = scenario::parse_scenario_file(
       std::string(MHCA_SOURCE_DIR) + "/examples/scenarios/quickstart.ini");
   scenario::apply_override(s, "topology.nodes=800");
+  scenario::apply_override(s, "topology.force_connected=true");
   scenario::apply_override(s, "run.slots=1");
   const std::string msg = error_message([&] { ScenarioRunner(s).run(); });
   EXPECT_TRUE(message_contains(msg, "topology.force_connected=false"));
@@ -185,6 +187,26 @@ TEST(ScenarioErrors, DisconnectedGeometricTopologyNamesTheFix) {
   // The named fix works: the same scenario runs with the key set.
   scenario::apply_override(s, "topology.force_connected=false");
   EXPECT_EQ(ScenarioRunner(s).run().total_slots, 1);
+}
+
+TEST(ScenarioErrors, UnsetForceConnectedAcceptsTheLastSampleWithANote) {
+  // The same 800-node scenario with force_connected unset: the generator
+  // still retries for a connected sample, then keeps the last one and says
+  // so on stderr instead of aborting.
+  Scenario s = scenario::parse_scenario_file(
+      std::string(MHCA_SOURCE_DIR) + "/examples/scenarios/quickstart.ini");
+  ASSERT_FALSE(s.topology.params.has("force_connected"));
+  scenario::apply_override(s, "topology.nodes=800");
+  scenario::apply_override(s, "run.slots=1");
+  testing::internal::CaptureStderr();
+  const ScenarioRunner runner(s);
+  const std::string note = testing::internal::GetCapturedStderr();
+  EXPECT_TRUE(message_contains(note, "in 200 attempts"));
+  EXPECT_TRUE(message_contains(note, "n = 800"));
+  EXPECT_TRUE(message_contains(note, "topology.force_connected=true"));
+  EXPECT_FALSE(runner.extended_graph().graph().is_connected());
+  EXPECT_EQ(runner.extended_graph().num_nodes(), 800);
+  EXPECT_EQ(runner.run().total_slots, 1);
 }
 
 TEST(ScenarioErrors, UnknownRegistryNameListsValidOnes) {

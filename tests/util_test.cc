@@ -1,4 +1,4 @@
-// Tests for src/util: rng, hashing, stats, series, csv, tables.
+// Tests for src/util: rng, hashing, stats, csv, tables.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,6 @@
 #include "util/csv.h"
 #include "util/hash.h"
 #include "util/rng.h"
-#include "util/series.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -119,45 +118,6 @@ TEST(Summary, MatchesRunningStat) {
   EXPECT_DOUBLE_EQ(s.mean, 2.0);
   EXPECT_DOUBLE_EQ(s.min, 1.0);
   EXPECT_DOUBLE_EQ(s.max, 3.0);
-}
-
-TEST(Series, CumulativeAverage) {
-  const auto out = cumulative_average({2.0, 4.0, 6.0});
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_DOUBLE_EQ(out[0], 2.0);
-  EXPECT_DOUBLE_EQ(out[1], 3.0);
-  EXPECT_DOUBLE_EQ(out[2], 4.0);
-}
-
-TEST(Series, CumulativeSum) {
-  const auto out = cumulative_sum({1.0, 2.0, 3.0});
-  EXPECT_DOUBLE_EQ(out.back(), 6.0);
-}
-
-TEST(Series, MovingAverageWindowOne) {
-  const std::vector<double> xs{1.0, 5.0, 9.0};
-  EXPECT_EQ(moving_average(xs, 1), xs);
-}
-
-TEST(Series, MovingAverageSmooths) {
-  const auto out = moving_average({0.0, 10.0, 0.0, 10.0, 0.0}, 3);
-  EXPECT_NEAR(out[2], 20.0 / 3.0, 1e-12);
-}
-
-TEST(Series, DownsampleKeepsEnds) {
-  std::vector<double> xs(100);
-  for (std::size_t i = 0; i < xs.size(); ++i) xs[i] = static_cast<double>(i);
-  const auto out = downsample(xs, 5);
-  ASSERT_GE(out.size(), 2u);
-  EXPECT_EQ(out.front().first, 0u);
-  EXPECT_EQ(out.back().first, 99u);
-}
-
-TEST(Series, DownsampleShortSeriesIdentity) {
-  const std::vector<double> xs{1.0, 2.0};
-  const auto out = downsample(xs, 10);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_DOUBLE_EQ(out[1].second, 2.0);
 }
 
 TEST(Csv, WritesHeaderAndRows) {
