@@ -19,6 +19,17 @@
 //     the agents' own statistics must predict the runtime's next strategy
 //     winner for winner (the acceptance contract; CI validates the flag).
 //
+// Under churn the lag is set by the liveness knobs, not by the protocol: a
+// node that left is evicted only after hello_timeout_slots of silence plus
+// its backed-off probes, lag_floor_rounds = hello_timeout_slots +
+// sum_{k=1..hello_max_retries} backoff_base^k (4 + 2 + 4 + 8 = 18 at the
+// defaults) after it went silent. A departure in the burst's last round
+// thus keeps the oracle from accepting for that many quiet rounds; an
+// earlier last departure shortens the lag by its head start. Every row
+// carries the floor, and one churn cell is rerun at hello_timeout_slots 2
+// and 8, so lag against control bytes is a measured curve (the default 4
+// is the grid's own row).
+//
 // Emits a table on stdout and machine-readable JSON (default
 // BENCH_membership.json, or argv[1]); `--smoke` shrinks the grid for CI.
 #include <cstdio>
@@ -51,6 +62,8 @@ struct FaultSpec {
 struct Cell {
   std::string faults;
   double churn = 0.0;
+  int hello_timeout_slots = 0;
+  int lag_floor_rounds = 0;  ///< Timeout plus the probes' backoff.
   int users = 0;
   int vertices = 0;
   int burst_rounds = 0;
@@ -71,11 +84,25 @@ struct Cell {
   bool identical = false;  ///< Lockstep engine predicts the next decision.
 };
 
+/// hello_timeout_slots + sum_{k=1..hello_max_retries} backoff_base^k: the
+/// rounds a departed member stays in a table before its eviction.
+int lag_floor(const net::LivenessParams& l) {
+  int floor = l.hello_timeout_slots, step = 1;
+  for (int k = 1; k <= l.hello_max_retries; ++k) {
+    step *= l.backoff_base;
+    floor += step;
+  }
+  return floor;
+}
+
 Cell run_cell(int users, int channels, double churn_rate,
-              const FaultSpec& f, int warmup, int burst, int tail_cap) {
+              const FaultSpec& f, const net::LivenessParams& liveness,
+              int warmup, int burst, int tail_cap) {
   Cell cell;
   cell.faults = f.label;
   cell.churn = churn_rate;
+  cell.hello_timeout_slots = liveness.hello_timeout_slots;
+  cell.lag_floor_rounds = lag_floor(liveness);
   cell.users = users;
   cell.burst_rounds = burst;
 
@@ -88,6 +115,7 @@ Cell run_cell(int users, int channels, double churn_rate,
   cfg.solver.r = 2;
   cfg.solver.D = 3;
   cfg.membership = net::MembershipMode::kViewSync;
+  cfg.liveness = liveness;
 
   std::unique_ptr<dynamics::DynamicNetwork> dyn;
   if (churn_rate > 0.0) {
@@ -187,14 +215,19 @@ Cell run_cell(int users, int channels, double churn_rate,
 std::string json_of(const std::vector<Cell>& cells, int channels, int warmup,
                     int burst) {
   std::string out;
-  char buf[768];
+  char buf[896];
   out += "{\n  \"bench\": \"membership\",\n";
   std::snprintf(
       buf, sizeof(buf),
       "  \"config\": {\"channels\": %d, \"avg_degree\": 4.5, \"r\": 2, "
       "\"D\": 3, \"policy\": \"cab\", \"membership\": \"view_sync\", "
       "\"schedule\": \"%d quiet warmup, %d faulty burst (churn live), "
-      "quiet frozen tail until the oracle accepts\"},\n",
+      "quiet frozen tail until the oracle accepts\", "
+      "\"lag_note\": \"a departed member is evicted lag_floor_rounds = "
+      "hello_timeout_slots + sum of backoff_base^k over the "
+      "hello_max_retries probes after it went silent; with churn live to "
+      "the burst's end, convergence_lag_rounds equals that floor, so it "
+      "measures the liveness config, not the protocol\"},\n",
       channels, warmup, burst);
   out += buf;
   out += "  \"results\": [\n";
@@ -210,6 +243,7 @@ std::string json_of(const std::vector<Cell>& cells, int channels, int warmup,
         "\"membership_byte_share\": %.3f, \"timeouts\": %lld, "
         "\"retries\": %lld, \"view_changes\": %lld, "
         "\"stale_decisions\": %lld, \"convergence_lag_rounds\": %d, "
+        "\"hello_timeout_slots\": %d, \"lag_floor_rounds\": %d, "
         "\"identical_decisions\": %s}%s\n",
         c.faults.c_str(), c.churn, c.users, c.vertices,
         c.msgs_per_round_quiet, c.msgs_per_round_burst, c.overhead,
@@ -218,6 +252,7 @@ std::string json_of(const std::vector<Cell>& cells, int channels, int warmup,
         static_cast<long long>(c.retries),
         static_cast<long long>(c.view_changes),
         static_cast<long long>(c.stale_decisions), c.convergence_lag,
+        c.hello_timeout_slots, c.lag_floor_rounds,
         c.identical ? "true" : "false", i + 1 < cells.size() ? "," : "");
     out += buf;
   }
@@ -262,21 +297,28 @@ int main(int argc, char** argv) {
   TablePrinter table({"faults", "churn", "|H|", "msgs/rnd quiet",
                       "msgs/rnd burst", "overhead", "KB/rnd burst",
                       "mem share", "mem B share", "timeouts", "view chg",
-                      "conv lag", "identical"});
-  for (double churn : churn_rates) {
-    for (const FaultSpec& f : faults) {
-      const Cell c =
-          run_cell(users, channels, churn, f, warmup, burst, tail_cap);
-      cells.push_back(c);
-      table.row(c.faults, fixed(c.churn, 3), c.vertices,
-                fixed(c.msgs_per_round_quiet, 1),
-                fixed(c.msgs_per_round_burst, 1), fixed(c.overhead, 2),
-                fixed(c.bytes_per_round_burst / 1024.0, 1),
-                fixed(c.membership_share, 3),
-                fixed(c.membership_byte_share, 3), c.timeouts,
-                c.view_changes, c.convergence_lag,
-                c.identical ? "yes" : "NO");
-    }
+                      "timeout", "conv lag", "lag floor", "identical"});
+  const auto run = [&](double churn, const FaultSpec& f,
+                       const net::LivenessParams& liveness) {
+    const Cell c = run_cell(users, channels, churn, f, liveness, warmup,
+                            burst, tail_cap);
+    cells.push_back(c);
+    table.row(c.faults, fixed(c.churn, 3), c.vertices,
+              fixed(c.msgs_per_round_quiet, 1),
+              fixed(c.msgs_per_round_burst, 1), fixed(c.overhead, 2),
+              fixed(c.bytes_per_round_burst / 1024.0, 1),
+              fixed(c.membership_share, 3),
+              fixed(c.membership_byte_share, 3), c.timeouts, c.view_changes,
+              c.hello_timeout_slots, c.convergence_lag, c.lag_floor_rounds,
+              c.identical ? "yes" : "NO");
+  };
+  for (double churn : churn_rates)
+    for (const FaultSpec& f : faults) run(churn, f, {});
+  // The liveness sweep: the first churn cell at other timeouts.
+  for (const int timeout : {2, 8}) {
+    net::LivenessParams liveness;
+    liveness.hello_timeout_slots = timeout;
+    run(churn_rates[1], faults[0], liveness);
   }
   table.print(std::cout);
 

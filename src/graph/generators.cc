@@ -54,6 +54,7 @@ ConflictGraph random_geometric(int n, double side, double radius, Rng& rng,
 
 ConflictGraph random_geometric_avg_degree(int n, double avg_degree, Rng& rng,
                                           bool force_connected,
+                                          int max_attempts,
                                           OnDisconnected on_exhausted) {
   MHCA_ASSERT(avg_degree > 0.0, "average degree must be positive");
   const double side = std::sqrt(static_cast<double>(n));
@@ -61,7 +62,7 @@ ConflictGraph random_geometric_avg_degree(int n, double avg_degree, Rng& rng,
   const double denom = std::numbers::pi * static_cast<double>(std::max(1, n - 1));
   const double radius = side * std::sqrt(avg_degree / denom);
   return random_geometric(n, side, radius, rng, force_connected,
-                          /*max_attempts=*/200, on_exhausted);
+                          max_attempts, on_exhausted);
 }
 
 ConflictGraph linear_network(int n) {

@@ -24,9 +24,10 @@ ConflictGraph random_geometric(
 
 /// Random geometric network sized so the *expected* average degree is
 /// approximately `avg_degree` (area side chosen as sqrt(n), radius from
-/// n*pi*r^2/side^2 = avg_degree). Samples at most 200 times.
+/// n*pi*r^2/side^2 = avg_degree). Retries as random_geometric does.
 ConflictGraph random_geometric_avg_degree(
     int n, double avg_degree, Rng& rng, bool force_connected = true,
+    int max_attempts = 200,
     OnDisconnected on_exhausted = OnDisconnected::kAbort);
 
 /// Path v0 - v1 - ... - v_{n-1} (the paper's Fig. 5 worst case). Nodes are

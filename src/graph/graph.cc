@@ -1,6 +1,7 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <atomic>
 #include <queue>
 
 #include "util/assert.h"
@@ -8,6 +9,15 @@
 #include "util/simd_scan.h"
 
 namespace mhca {
+
+namespace {
+
+std::uint64_t next_version() {
+  static std::atomic<std::uint64_t> counter{0};
+  return ++counter;
+}
+
+}  // namespace
 
 void Graph::add_edge(int u, int v) {
   MHCA_ASSERT(u >= 0 && u < size() && v >= 0 && v < size(),
@@ -50,6 +60,7 @@ void Graph::finalize() {
   }
   adj_.clear();
   adj_.shrink_to_fit();
+  version_ = next_version();
 }
 
 void Graph::append_sparse_row(int v, std::vector<int>& blocks,
@@ -210,6 +221,7 @@ void Graph::apply_delta(std::span<const std::pair<int, int>> added,
     srow_blocks_ = std::move(new_blocks);
     srow_words_ = std::move(new_words);
   }
+  version_ = next_version();
 }
 
 void Graph::definalize() {

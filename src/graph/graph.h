@@ -78,6 +78,14 @@ class Graph {
 
   bool finalized() const { return !offsets_.empty(); }
 
+  /// Topology stamp: `finalize()` and every non-empty `apply_delta()`
+  /// draw a fresh one from a process-wide counter, so equal stamps mean an
+  /// unchanged edge set (a copy shares its source's stamp). Memos keyed to
+  /// it (net::ControlChannel's flood reach) drop themselves on any change,
+  /// with no caller having to invalidate them. Meaningful only while
+  /// `finalized()`: build-phase `add_edge` calls do not bump it.
+  std::uint64_t version() const { return version_; }
+
   bool has_edge(int u, int v) const;
 
   /// Sorted neighbor ids of v. A contiguous CSR span once finalized.
@@ -166,6 +174,7 @@ class Graph {
                          std::vector<std::uint64_t>& words) const;
 
   int n_ = 0;
+  std::uint64_t version_ = 0;
 
   // Build phase.
   std::vector<std::vector<int>> adj_;

@@ -1,7 +1,6 @@
 #include "net/agent.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "graph/hop.h"
@@ -17,37 +16,6 @@ auto lower_bound_id(Sorted& v, int id) {
   return std::lower_bound(v.begin(), v.end(), id,
                           [](const auto& a, int x) { return a.id < x; });
 }
-
-/// Looks ids up in a sorted vector, each search galloping forward from where
-/// the previous one ended; an id below its predecessor restarts from the
-/// front. A list made of a few ascending runs thus costs about one short
-/// search per element.
-class SortedCursor {
- public:
-  explicit SortedCursor(const std::vector<int>& sorted) : v_(sorted) {}
-
-  /// Position of `id` in the vector, or -1.
-  int find(int id) {
-    if (id < prev_) pos_ = 0;
-    prev_ = id;
-    const int* const v = v_.data();
-    const std::size_t n = v_.size();
-    std::size_t lo = pos_, hi = pos_, step = 1;
-    while (hi < n && v[hi] < id) {  // everything before lo is < id
-      lo = hi + 1;
-      hi = lo + step;
-      step *= 2;
-    }
-    pos_ = static_cast<std::size_t>(
-        std::lower_bound(v + lo, v + std::min(hi, n), id) - v);
-    return pos_ < n && v[pos_] == id ? static_cast<int>(pos_) : -1;
-  }
-
- private:
-  const std::vector<int>& v_;
-  std::size_t pos_ = 0;
-  int prev_ = std::numeric_limits<int>::min();
-};
 
 }  // namespace
 
@@ -130,15 +98,15 @@ void VertexAgent::install_view(const Adverts& adverts) {
     table_.count[i] = advert_of(i).count;
   }
 
-  // Merge each member's sorted neighbor list with members_. Each edge is
-  // added once, from its lower endpoint; the higher endpoint only checks
-  // for an edge that a stale view-sync adjacency lists on its side alone.
+  // Map each member's neighbor list to local ids. Each edge is added once,
+  // from its lower endpoint; the higher endpoint only checks for an edge
+  // that a stale view-sync adjacency lists on its side alone.
+  index_.build(members_);
   local_graph_ = Graph(static_cast<int>(n));
   for (std::size_t i = 0; i < n; ++i) {
     const int li = static_cast<int>(i);
-    SortedCursor cursor(members_);
     for (int u : i == self ? own_neighbors_ : advert_of(i).neighbors) {
-      const int lu = cursor.find(u);
+      const int lu = local_id(u);
       if (lu > li)
         local_graph_.add_edge(li, lu);
       else if (lu >= 0 && !local_graph_.has_edge(lu, li))
@@ -169,12 +137,6 @@ void VertexAgent::finalize_discovery() {
   install_view(hellos_);
   hellos_ = std::vector<Advert>();  // frees the capacity: O(m) from here on
   discovered_ = true;
-}
-
-int VertexAgent::find_local(int global) const {
-  const auto it = std::lower_bound(members_.begin(), members_.end(), global);
-  if (it == members_.end() || *it != global) return -1;
-  return static_cast<int>(it - members_.begin());
 }
 
 const VertexAgent::MemberKnowledge* VertexAgent::find_knowledge(int v) const {
@@ -247,7 +209,7 @@ void VertexAgent::on_membership_message(const Message& msg,
     k.count = msg.count;
     k.mean = msg.mean;
     // A member admitted since the last rebuild has no table slot yet.
-    const int i = find_local(msg.origin);
+    const int i = local_id(msg.origin);
     if (i >= 0) {
       table_.mean[static_cast<std::size_t>(i)] = msg.mean;
       table_.count[static_cast<std::size_t>(i)] = msg.count;
@@ -369,7 +331,7 @@ std::pair<double, std::int64_t> VertexAgent::member_stats(int v) const {
     MHCA_ASSERT(k != nullptr, "member_stats of unknown member");
     return {k->mean, k->count};
   }
-  const int i = find_local(v);
+  const int i = local_id(v);
   MHCA_ASSERT(i >= 0 && i != self_local_, "member_stats of unknown member");
   return {table_.mean[static_cast<std::size_t>(i)],
           table_.count[static_cast<std::size_t>(i)]};
@@ -418,7 +380,7 @@ void VertexAgent::on_weight_update(const Message& msg) {
     k.mean = msg.mean;
     k.count = msg.count;
   }
-  const int i = find_local(msg.origin);
+  const int i = local_id(msg.origin);
   if (i < 0 || i == self_local_) return;  // beyond my 2r+1 horizon
   table_.mean[static_cast<std::size_t>(i)] = msg.mean;
   table_.count[static_cast<std::size_t>(i)] = msg.count;
@@ -500,24 +462,26 @@ std::vector<StatusEntry> VertexAgent::lead(
 }
 
 void VertexAgent::on_determination(const Message& msg) {
+  counters_.verdicts_received +=
+      static_cast<std::int64_t>(msg.statuses.size());
   if (mode_ == MembershipMode::kViewSync) {
     maybe_adopt(msg.view);
     // A verdict from any round but the current one is a delayed wire's
     // ghost: the statuses it names were re-randomized at begin_round.
     if (msg.round != round_now_) return;
   }
-  // The leader's candidates come first in ascending order, then the losers
-  // it appended: one forward cursor serves both runs.
-  SortedCursor cursor(members_);
+  std::int64_t applied = 0;
   for (const StatusEntry& e : msg.statuses) {
     if (e.vertex == id_) {
       status_ = e.status;
       decision_view_ = msg.view;
-      continue;
-    }
-    if (const int i = cursor.find(e.vertex); i >= 0)
+      ++applied;
+    } else if (const int i = local_id(e.vertex); i >= 0) {
       table_.status[static_cast<std::size_t>(i)] = e.status;
+      ++applied;
+    }
   }
+  counters_.verdicts_applied += applied;
 }
 
 }  // namespace mhca::net

@@ -10,11 +10,11 @@
 // position in it is its dense local id. The per-member table (mean, count,
 // index, status) is a set of parallel arrays indexed by that local id, and
 // so is the local subgraph; self's table slot is unused (own state lives in
-// separate fields). Global ids are mapped to local ids by binary search on
-// the member list, and sorted id lists (determination payloads, neighbor
-// lists) by a forward search that restarts only where the list stops
-// ascending. Every buffer an agent owns is sized by its member count, never
-// by the global vertex count.
+// separate fields). Global ids are mapped to local ids by a MemberIndex
+// (net/member_index.h), a hash table over the member list rebuilt with it:
+// one O(1) expected lookup per verdict, per neighbor-list entry and per
+// statistics update. Every buffer an agent owns is sized by its member
+// count, never by the global vertex count.
 //
 // Two membership modes (net/view.h):
 //   kOmniscient — the runtime's delta feed reopens discovery after churn
@@ -43,17 +43,22 @@
 #include "graph/graph.h"
 #include "mwis/branch_and_bound.h"
 #include "mwis/distributed_ptas.h"
+#include "net/member_index.h"
 #include "net/message.h"
 #include "net/view.h"
 
 namespace mhca::net {
 
-/// Per-agent robustness counters (runtime stats; aggregated per run).
+/// Per-agent counters (runtime stats; aggregated per run).
 struct AgentCounters {
   std::int64_t retries = 0;         ///< Liveness probes flooded.
   std::int64_t timeouts = 0;        ///< Members that became suspects.
   std::int64_t view_changes = 0;    ///< Own membership-epoch advances.
   std::int64_t stale_decisions = 0; ///< Rounds decided under stale views.
+  /// Verdicts in the determinations delivered to this agent.
+  std::int64_t verdicts_received = 0;
+  /// Received verdicts that set the status of self or of a member.
+  std::int64_t verdicts_applied = 0;
 };
 
 class VertexAgent {
@@ -96,6 +101,9 @@ class VertexAgent {
   /// the "old ball" side of the runtime's blast-radius computation, and the
   /// membership the convergence oracle compares against ground truth.
   const std::vector<int>& members() const { return members_; }
+  /// Local id of a member (its position in members()), or -1 when `global`
+  /// is not a member.
+  int local_id(int global) const { return index_.find(global, members_); }
 
   // ---- View-synchronous membership (mode() == kViewSync) ----
   const ViewId& view() const { return view_; }
@@ -239,6 +247,7 @@ class VertexAgent {
   // position is its local id), the local graph over local ids, and the
   // per-member table.
   std::vector<int> members_;
+  MemberIndex index_;  ///< Global id → local id over members_.
   int self_local_ = -1;
   Graph local_graph_;
   Table table_;
@@ -249,8 +258,6 @@ class VertexAgent {
   std::vector<int> cand_buf_;
   std::vector<double> weight_buf_;
 
-  /// Local id of a member, or -1 when `global` is not a member.
-  int find_local(int global) const;
   MemberKnowledge* find_knowledge(int v);
   const MemberKnowledge* find_knowledge(int v) const;
   void maybe_adopt(const ViewId& v);

@@ -99,6 +99,30 @@ void ControlChannel::bill(MsgType type, std::size_t wire_size,
   stats_.fragments += transmissions * wire::fragments_of(wire_size, mtu_);
 }
 
+const std::vector<int>& ControlChannel::clean_reach(int origin, int ttl) {
+  if (!topology_.finalized()) {  // no version to key a memo to
+    scratch_.k_hop_neighborhood(topology_, origin, ttl, reach_buf_);
+    ++stats_.reach_computed;
+    return reach_buf_;
+  }
+  if (memo_version_ != topology_.version()) {
+    reach_memo_.clear();
+    memo_version_ = topology_.version();
+  }
+  const auto t = static_cast<std::size_t>(ttl);
+  if (reach_memo_.size() <= t) reach_memo_.resize(t + 1);
+  auto& by_origin = reach_memo_[t];
+  if (by_origin.empty())
+    by_origin.resize(static_cast<std::size_t>(topology_.size()));
+  std::vector<int>& reach = by_origin[static_cast<std::size_t>(origin)];
+  if (reach.empty()) {  // a computed reach always holds the origin
+    scratch_.k_hop_neighborhood(topology_, origin, ttl, reach_buf_);
+    reach.assign(reach_buf_.begin(), reach_buf_.end());  // no slack kept
+    ++stats_.reach_computed;
+  }
+  return reach;
+}
+
 void ControlChannel::deliver_copies(
     int vertex, const Message& msg, std::uint64_t digest,
     const std::shared_ptr<const std::vector<std::uint8_t>>& bytes,
@@ -201,9 +225,9 @@ void ControlChannel::flood_impl(
   record_flood(digest, ttl, *bytes);
 
   if (!faults_.any()) {
-    scratch_.k_hop_neighborhood(topology_, msg.origin, ttl, reach_buf_);
-    bill(msg.type, wire_size, static_cast<std::int64_t>(reach_buf_.size()));
-    for (int v : reach_buf_) {
+    const std::vector<int>& reach = clean_reach(msg.origin, ttl);
+    bill(msg.type, wire_size, static_cast<std::int64_t>(reach.size()));
+    for (int v : reach) {
       if (v == msg.origin) continue;
       record_delivery(v, digest);
       deliver(v, decoded);

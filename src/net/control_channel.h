@@ -21,6 +21,12 @@
 // exists to demonstrate (and test) which protocol guarantees genuinely
 // depend on that assumption, and what the view-synchronous membership
 // layer recovers.
+//
+// Reach memo: on a clean wire a flood's reach depends only on (origin, ttl)
+// and the topology, so the sorted reach J_ttl(origin) is computed once and
+// kept. The memo is keyed to Graph::version() and drops itself whenever the
+// topology changes; it costs sum |J_ttl(o)| ints over the (origin, ttl)
+// pairs actually flooded. The faulty-wire BFS is never memoized.
 #pragma once
 
 #include <cstdint>
@@ -56,6 +62,9 @@ struct ChannelStats {
   /// MTU fragments those transmissions occupy (wire::fragments_of); equals
   /// the datagram count the UDP transport would send.
   std::int64_t fragments = 0;
+  /// Clean-wire floods that ran a reach BFS (reach-memo misses); the other
+  /// clean-wire floods reused a memoized reach.
+  std::int64_t reach_computed = 0;
 
   std::int64_t of_type(MsgType t) const {
     return messages_by_type[static_cast<std::size_t>(t)];
@@ -162,12 +171,20 @@ class ControlChannel {
                   const std::function<void(int, const Message&)>& deliver);
   /// One transmission's airtime: message count, bytes, fragments, per type.
   void bill(MsgType type, std::size_t wire_size, std::int64_t transmissions);
+  /// J_ttl(origin), sorted ascending, from the reach memo (computed on a
+  /// miss). Valid until the next call.
+  const std::vector<int>& clean_reach(int origin, int ttl);
 
   const Graph& topology_;
   FaultProfile faults_;
   int mtu_ = wire::kDefaultMtu;
   BfsScratch scratch_;
-  std::vector<int> reach_buf_;
+  std::vector<int> reach_buf_;  ///< BFS output; the reach itself when the
+                                ///< topology is not finalized.
+  /// reach_memo_[ttl][origin] = J_ttl(origin), empty until first flooded;
+  /// valid for topology version memo_version_.
+  std::vector<std::vector<std::vector<int>>> reach_memo_;
+  std::uint64_t memo_version_ = 0;
   std::vector<std::uint32_t> visit_stamp_;
   std::uint32_t visit_epoch_ = 0;
   std::int64_t round_ = 0;

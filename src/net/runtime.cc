@@ -362,6 +362,8 @@ RuntimeCounters DistributedRuntime::counters() const {
     out.timeouts += a.counters().timeouts;
     out.view_changes += a.counters().view_changes;
     out.stale_decisions += a.counters().stale_decisions;
+    out.verdicts_received += a.counters().verdicts_received;
+    out.verdicts_applied += a.counters().verdicts_applied;
   }
   return out;
 }

@@ -85,12 +85,14 @@ struct NetRoundResult {
   int tx_abstained = 0;
 };
 
-/// Aggregated per-agent robustness counters (see AgentCounters).
+/// Aggregated per-agent counters (see AgentCounters).
 struct RuntimeCounters {
   std::int64_t retries = 0;
   std::int64_t timeouts = 0;
   std::int64_t view_changes = 0;
   std::int64_t stale_decisions = 0;
+  std::int64_t verdicts_received = 0;
+  std::int64_t verdicts_applied = 0;
 };
 
 class DistributedRuntime {
@@ -172,7 +174,7 @@ class DistributedRuntime {
   /// Maximum agent table size — the per-vertex space bound O(m).
   std::size_t max_table_size() const;
 
-  /// Sum of every agent's robustness counters.
+  /// Sum of every agent's counters.
   RuntimeCounters counters() const;
 
  private:

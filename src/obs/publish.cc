@@ -24,6 +24,7 @@ void publish_channel_stats(MetricsRegistry& reg, const net::ChannelStats& cs) {
   reg.counter("channel.mini_timeslots").add(cs.mini_timeslots);
   reg.counter("channel.bytes_on_wire").add(cs.bytes_on_wire);
   reg.counter("channel.fragments").add(cs.fragments);
+  reg.counter("channel.reach_computed").add(cs.reach_computed);
   for (int t = 0; t < net::kNumMsgTypes; ++t) {
     const std::string suffix = kMsgTypeLabels[t];
     reg.counter("channel.messages." + suffix).add(cs.messages_by_type[t]);
@@ -46,12 +47,14 @@ void publish_transport_stats(MetricsRegistry& reg,
   reg.counter("transport.retransmissions").add(ts->retransmissions);
 }
 
-void publish_membership_counters(MetricsRegistry& reg,
-                                 const net::RuntimeCounters& rc) {
+void publish_agent_counters(MetricsRegistry& reg,
+                            const net::RuntimeCounters& rc) {
   reg.counter("membership.retries").add(rc.retries);
   reg.counter("membership.timeouts").add(rc.timeouts);
   reg.counter("membership.view_changes").add(rc.view_changes);
   reg.counter("membership.stale_decisions").add(rc.stale_decisions);
+  reg.counter("decision.verdicts_received").add(rc.verdicts_received);
+  reg.counter("decision.verdicts_applied").add(rc.verdicts_applied);
 }
 
 void publish_simulation(MetricsRegistry& reg, const SimulationResult& res) {

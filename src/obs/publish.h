@@ -34,9 +34,12 @@ void publish_channel_stats(MetricsRegistry& reg, const net::ChannelStats& cs);
 void publish_transport_stats(MetricsRegistry& reg,
                              const net::TransportStats* ts);
 
-/// membership.* — per-agent robustness counters aggregated by the runtime.
-void publish_membership_counters(MetricsRegistry& reg,
-                                 const net::RuntimeCounters& rc);
+/// membership.* — per-agent robustness counters aggregated by the runtime
+/// — and decision.verdicts_received / decision.verdicts_applied, the
+/// determination verdicts the agents received and the ones that named self
+/// or a table member.
+void publish_agent_counters(MetricsRegistry& reg,
+                            const net::RuntimeCounters& rc);
 
 /// decision.* totals and the dynamics.* maintenance counters
 /// (balls_invalidated, size_recounts) for a lockstep Simulator run.

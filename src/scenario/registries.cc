@@ -39,6 +39,8 @@ void register_builtin_topologies(TopologyRegistry& reg) {
             const OnDisconnected on_exhausted =
                 p.has("force_connected") ? OnDisconnected::kAbort
                                          : OnDisconnected::kAcceptLast;
+            const int max_attempts =
+                checked_int32(p.get_int("max_attempts", 200), "max_attempts");
             if (p.has("side") || p.has("radius")) {
               if (!(p.has("side") && p.has("radius")))
                 throw ScenarioError(
@@ -46,12 +48,11 @@ void register_builtin_topologies(TopologyRegistry& reg) {
                     "(or neither — then 'avg_degree' sizes the disk)");
               return random_geometric(
                   n, p.get_double("side", 0.0), p.get_double("radius", 0.0),
-                  rng, fc,
-                  checked_int32(p.get_int("max_attempts", 200), "max_attempts"),
-                  on_exhausted);
+                  rng, fc, max_attempts, on_exhausted);
             }
             return random_geometric_avg_degree(
-                n, p.get_double("avg_degree", 6.0), rng, fc, on_exhausted);
+                n, p.get_double("avg_degree", 6.0), rng, fc, max_attempts,
+                on_exhausted);
           },
           /*required_keys=*/{"nodes"});
   reg.add(

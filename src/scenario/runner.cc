@@ -220,7 +220,7 @@ NetRunSummary ScenarioRunner::run_net_impl(net::Transport* transport) const {
         .set(static_cast<double>(out.last_strategy.size()));
     reg->gauge("decision.max_table_size")
         .set(static_cast<double>(runtime.max_table_size()));
-    obs::publish_membership_counters(*reg, runtime.counters());
+    obs::publish_agent_counters(*reg, runtime.counters());
     obs::publish_channel_stats(*reg, runtime.channel_stats());
     obs::publish_transport_stats(*reg, runtime.transport_stats());
     // ---- The summary, read back out of the registry. The two 64-bit

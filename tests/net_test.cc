@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <cstdint>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -18,9 +20,11 @@
 #include "channel/gaussian.h"
 #include "graph/extended_graph.h"
 #include "graph/generators.h"
+#include "graph/hop.h"
 #include "mwis/distributed_ptas.h"
 #include "net/control_channel.h"
 #include "net/faults.h"
+#include "net/member_index.h"
 #include "net/oracle.h"
 #include "net/runtime.h"
 #include "util/rng.h"
@@ -596,6 +600,216 @@ TEST_F(NetFixture, OmniscientDiscoveryUnderDuplicatesBuildsTheCleanTable) {
   // Same tables, same local graphs: the same decisions.
   for (int t = 0; t < 3; ++t)
     EXPECT_EQ(clean.step().strategy, noisy.step().strategy);
+}
+
+// ------------------------------------------------ member index (O(1) ids)
+
+/// The position std::lower_bound finds for `id` in `ids`, or -1.
+int sorted_position(const std::vector<int>& ids, int id) {
+  const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+  return it != ids.end() && *it == id ? static_cast<int>(it - ids.begin())
+                                      : -1;
+}
+
+/// Every id in [min - 2, max + 2] (capped at `span` ids from each end), plus
+/// 0 and INT_MAX, maps through `find` exactly as lower_bound maps it.
+template <typename Find>
+void expect_agrees_with_lower_bound(const std::vector<int>& ids, Find find,
+                                    long long span = 5000) {
+  std::vector<long long> probes = {0, INT_MAX, -1, INT_MIN};
+  if (!ids.empty()) {
+    const long long lo = static_cast<long long>(ids.front()) - 2;
+    const long long hi = static_cast<long long>(ids.back()) + 2;
+    for (long long x = lo; x <= hi && x < lo + span; ++x) probes.push_back(x);
+    for (long long x = std::max(lo, hi - span); x <= hi; ++x)
+      probes.push_back(x);
+    probes.insert(probes.end(), ids.begin(), ids.end());
+  }
+  for (const long long x : probes) {
+    if (x < INT_MIN || x > INT_MAX) continue;
+    const int id = static_cast<int>(x);
+    ASSERT_EQ(find(id), sorted_position(ids, id)) << "id " << id;
+  }
+}
+
+void expect_index_agrees(const std::vector<int>& ids) {
+  net::MemberIndex index;
+  index.build(ids);
+  if (!ids.empty() && ids.size() <= net::MemberIndex::kMaxIndexed) {
+    EXPECT_TRUE(std::has_single_bit(index.capacity()));
+    EXPECT_GE(index.capacity(), 2 * ids.size());  // load factor <= 1/2
+    EXPECT_LE(index.capacity() * sizeof(std::uint16_t), 8 * ids.size());
+  }
+  expect_agrees_with_lower_bound(
+      ids, [&](int id) { return index.find(id, ids); });
+}
+
+TEST(MemberIndex, AgreesWithLowerBoundOnRandomSortedLists) {
+  Rng rng(17);
+  for (const int m : {0, 1, 2, 3, 7, 64, 65, 300, 4097}) {
+    for (const int spread : {1, 3, 1000}) {
+      std::set<int> pick;
+      while (static_cast<int>(pick.size()) < m)
+        pick.insert(static_cast<int>(rng.uniform_int(0, m * spread + 5)));
+      expect_index_agrees(std::vector<int>(pick.begin(), pick.end()));
+    }
+  }
+  expect_index_agrees({0});
+  expect_index_agrees({INT_MAX});
+  expect_index_agrees({0, INT_MAX});
+  expect_index_agrees({-5, 0, 1, INT_MAX - 1, INT_MAX});
+}
+
+TEST(MemberIndex, IdsCollidingUnderTheCapacityMaskAllResolve) {
+  // 64 ids give 128 slots. Pick 64 ids that all hash to the last slot, so
+  // every probe wraps around the end of the table.
+  constexpr int kM = 64;
+  std::vector<int> first_ids(kM);
+  std::iota(first_ids.begin(), first_ids.end(), 0);
+  net::MemberIndex probe;
+  probe.build(first_ids);
+  ASSERT_EQ(probe.capacity(), 2u * kM);
+  const std::uint32_t last = static_cast<std::uint32_t>(probe.capacity() - 1);
+  std::vector<int> ids;
+  for (int id = 0; static_cast<int>(ids.size()) < kM; ++id)
+    if (probe.home(id) == last) ids.push_back(id);
+  expect_index_agrees(ids);
+  // Half of them colliding, half spread out, in one list.
+  std::vector<int> mixed(ids.begin(), ids.begin() + kM / 2);
+  for (int id = ids.back() + 1; static_cast<int>(mixed.size()) < kM; id += 7)
+    mixed.push_back(id);
+  expect_index_agrees(mixed);
+}
+
+TEST(MemberIndex, ListsTooLongForASlotFallBackToBinarySearch) {
+  std::vector<int> ids(net::MemberIndex::kMaxIndexed + 1);
+  for (std::size_t i = 0; i < ids.size(); ++i)
+    ids[i] = static_cast<int>(3 * i + 1);
+  net::MemberIndex index;
+  index.build(ids);
+  EXPECT_EQ(index.capacity(), 0u);
+  expect_agrees_with_lower_bound(
+      ids, [&](int id) { return index.find(id, ids); }, 1000);
+}
+
+void expect_local_ids_agree(const VertexAgent& a) {
+  expect_agrees_with_lower_bound(
+      a.members(), [&](int id) { return a.local_id(id); });
+}
+
+TEST(AgentTable, LocalIdAgreesWithLowerBoundWhereverSelfSits) {
+  // Before discovery the index is empty: nothing is a member.
+  const VertexAgent undiscovered(5, 1);
+  EXPECT_TRUE(undiscovered.members().empty());
+  EXPECT_EQ(undiscovered.local_id(5), -1);
+  expect_local_ids_agree(undiscovered);
+
+  const auto discovered = [](int self, std::vector<int> others) {
+    VertexAgent a(self, 1);
+    a.set_own_neighbors(others);
+    for (int o : others) a.on_hello(hello_from(o, {self}, 0.0, 0));
+    a.finalize_discovery();
+    return a;
+  };
+  const VertexAgent first = discovered(0, {3, 7, 9});
+  EXPECT_EQ(first.local_id(0), 0);
+  expect_local_ids_agree(first);
+  const VertexAgent last = discovered(10, {3, 7, 9});
+  EXPECT_EQ(last.local_id(10), 3);
+  expect_local_ids_agree(last);
+  const VertexAgent alone = discovered(4, {});
+  EXPECT_EQ(alone.members(), (std::vector<int>{4}));
+  EXPECT_EQ(alone.local_id(4), 0);
+  expect_local_ids_agree(alone);
+  const VertexAgent extremes = discovered(1000, {0, INT_MAX});
+  EXPECT_EQ(extremes.local_id(INT_MAX), 2);
+  expect_local_ids_agree(extremes);
+}
+
+TEST(AgentTable, LocalIdFollowsAViewSyncRebuild) {
+  VertexAgent a = viewsync_agent(0.1);
+  expect_local_ids_agree(a);
+  // An admission is invisible to the index until the rebuild.
+  a.on_membership_message(hello_from(3, {2}, 0.9, 4, 1), 1);
+  EXPECT_EQ(a.local_id(3), -1);
+  a.flush_membership();
+  EXPECT_EQ(a.members(), (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(a.local_id(3), 3);
+  expect_local_ids_agree(a);
+}
+
+TEST_F(NetFixture, EveryAgentsLocalIdsAgreeWithLowerBound) {
+  for (const auto mode :
+       {net::MembershipMode::kOmniscient, net::MembershipMode::kViewSync}) {
+    NetConfig cfg;
+    cfg.membership = mode;
+    DistributedRuntime rt(ecg_, model_, cfg);
+    rt.step();
+    for (int v = 0; v < ecg_.num_vertices(); ++v)
+      expect_local_ids_agree(rt.agent(v));
+  }
+}
+
+TEST_F(NetFixture, VerdictCountersCountWhatTheAgentsApplied) {
+  DistributedRuntime rt(ecg_, model_, NetConfig{});
+  for (int t = 0; t < 3; ++t) rt.step();
+  const net::RuntimeCounters c = rt.counters();
+  EXPECT_GT(c.verdicts_applied, 0);
+  EXPECT_LE(c.verdicts_applied, c.verdicts_received);
+}
+
+// --------------------------------------------- clean-wire reach memo
+
+TEST(ControlChannel, ReachMemoFollowsTopologyDeltas) {
+  Graph g = path_graph(10);
+  g.finalize();
+  ControlChannel ch(g);
+  Message m;
+  m.type = MsgType::kWeightUpdate;
+  m.origin = 5;
+  const auto flood_and_collect = [&](int ttl) {
+    std::vector<int> got;
+    ch.flood(m, ttl, [&](int v, const Message&) { got.push_back(v); });
+    return got;
+  };
+  const auto fresh_reach = [&](int ttl) {
+    std::vector<int> want = k_hop_neighborhood(g, m.origin, ttl);
+    std::erase(want, m.origin);
+    return want;
+  };
+
+  EXPECT_EQ(flood_and_collect(2), fresh_reach(2));
+  EXPECT_EQ(ch.stats().reach_computed, 1);
+  EXPECT_EQ(flood_and_collect(2), fresh_reach(2));  // served from the memo
+  EXPECT_EQ(ch.stats().reach_computed, 1);
+  EXPECT_EQ(flood_and_collect(3), fresh_reach(3));  // another ttl: a miss
+  EXPECT_EQ(ch.stats().reach_computed, 2);
+
+  // Patch the topology under the channel: the next flood sees the new edge.
+  const std::pair<int, int> chord{6, 9};
+  g.apply_delta(std::span(&chord, 1), {});
+  EXPECT_EQ(flood_and_collect(2), fresh_reach(2));
+  EXPECT_EQ(flood_and_collect(2), (std::vector<int>{3, 4, 6, 7, 9}));
+  EXPECT_EQ(ch.stats().reach_computed, 3);
+  // And the removal of one.
+  const std::pair<int, int> cut{4, 5};
+  g.apply_delta({}, std::span(&cut, 1));
+  EXPECT_EQ(flood_and_collect(2), fresh_reach(2));
+  EXPECT_EQ(ch.stats().reach_computed, 4);
+  EXPECT_EQ(ch.stats().floods, 6);
+}
+
+TEST(ControlChannel, FaultyFloodsNeverUseTheReachMemo) {
+  Graph g = path_graph(10);
+  g.finalize();
+  net::FaultProfile lossy;
+  lossy.drop_prob = 0.2;
+  ControlChannel ch(g, lossy);
+  Message m;
+  m.type = MsgType::kHello;
+  m.origin = 5;
+  for (int i = 0; i < 3; ++i) ch.flood(m, 3, [](int, const Message&) {});
+  EXPECT_EQ(ch.stats().reach_computed, 0);
 }
 
 }  // namespace

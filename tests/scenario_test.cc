@@ -189,6 +189,21 @@ TEST(ScenarioErrors, DisconnectedGeometricTopologyNamesTheFix) {
   EXPECT_EQ(ScenarioRunner(s).run().total_slots, 1);
 }
 
+TEST(ScenarioErrors, AvgDegreeGeometricHonorsMaxAttempts) {
+  // The avg_degree form of the geometric topology retries for at most
+  // topology.max_attempts samples, like the side/radius form.
+  Scenario s = scenario::parse_scenario_file(
+      std::string(MHCA_SOURCE_DIR) + "/examples/scenarios/quickstart.ini");
+  ASSERT_FALSE(s.topology.params.has("side"));
+  scenario::apply_override(s, "topology.nodes=800");
+  scenario::apply_override(s, "topology.force_connected=true");
+  scenario::apply_override(s, "topology.max_attempts=3");
+  scenario::apply_override(s, "run.slots=1");
+  const std::string msg = error_message([&] { ScenarioRunner(s).run(); });
+  EXPECT_TRUE(message_contains(msg, "in 3 attempts"));
+  EXPECT_TRUE(message_contains(msg, "n = 800"));
+}
+
 TEST(ScenarioErrors, UnsetForceConnectedAcceptsTheLastSampleWithANote) {
   // The same 800-node scenario with force_connected unset: the generator
   // still retries for a connected sample, then keeps the last one and says
