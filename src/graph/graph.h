@@ -81,7 +81,7 @@ class Graph {
   /// Topology stamp: `finalize()` and every non-empty `apply_delta()`
   /// draw a fresh one from a process-wide counter, so equal stamps mean an
   /// unchanged edge set (a copy shares its source's stamp). Memos keyed to
-  /// it (net::ControlChannel's flood reach) drop themselves on any change,
+  /// it (net::ControlChannel's flood reach) recompute after any change,
   /// with no caller having to invalidate them. Meaningful only while
   /// `finalized()`: build-phase `add_edge` calls do not bump it.
   std::uint64_t version() const { return version_; }

@@ -100,27 +100,23 @@ void ControlChannel::bill(MsgType type, std::size_t wire_size,
 }
 
 const std::vector<int>& ControlChannel::clean_reach(int origin, int ttl) {
-  if (!topology_.finalized()) {  // no version to key a memo to
-    scratch_.k_hop_neighborhood(topology_, origin, ttl, reach_buf_);
-    ++stats_.reach_computed;
-    return reach_buf_;
-  }
-  if (memo_version_ != topology_.version()) {
-    reach_memo_.clear();
-    memo_version_ = topology_.version();
-  }
+  MHCA_ASSERT(topology_.finalized(),
+              "clean-wire flood over a topology that is not finalized "
+              "(call Graph::finalize() first)");
   const auto t = static_cast<std::size_t>(ttl);
   if (reach_memo_.size() <= t) reach_memo_.resize(t + 1);
   auto& by_origin = reach_memo_[t];
   if (by_origin.empty())
     by_origin.resize(static_cast<std::size_t>(topology_.size()));
-  std::vector<int>& reach = by_origin[static_cast<std::size_t>(origin)];
-  if (reach.empty()) {  // a computed reach always holds the origin
-    scratch_.k_hop_neighborhood(topology_, origin, ttl, reach_buf_);
-    reach.assign(reach_buf_.begin(), reach_buf_.end());  // no slack kept
+  MemoReach& entry = by_origin[static_cast<std::size_t>(origin)];
+  if (entry.version != topology_.version()) {
+    // Recomputed in place: a miss costs the BFS alone, and the entry keeps
+    // its buffer for the next topology.
+    scratch_.k_hop_neighborhood(topology_, origin, ttl, entry.reach);
+    entry.version = topology_.version();
     ++stats_.reach_computed;
   }
-  return reach;
+  return entry.reach;
 }
 
 void ControlChannel::deliver_copies(

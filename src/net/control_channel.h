@@ -24,9 +24,12 @@
 //
 // Reach memo: on a clean wire a flood's reach depends only on (origin, ttl)
 // and the topology, so the sorted reach J_ttl(origin) is computed once and
-// kept. The memo is keyed to Graph::version() and drops itself whenever the
-// topology changes; it costs sum |J_ttl(o)| ints over the (origin, ttl)
-// pairs actually flooded. The faulty-wire BFS is never memoized.
+// kept. Each entry is stamped with the Graph::version() it was computed at
+// and is recomputed in place by the first flood after the topology changes,
+// so a miss costs the same BFS as no memo at all and nothing is ever
+// cleared. It holds one reach buffer per (origin, ttl) pair ever flooded.
+// Clean-wire floods require a finalized topology; the faulty-wire BFS is
+// never memoized.
 #pragma once
 
 #include <cstdint>
@@ -171,20 +174,23 @@ class ControlChannel {
                   const std::function<void(int, const Message&)>& deliver);
   /// One transmission's airtime: message count, bytes, fragments, per type.
   void bill(MsgType type, std::size_t wire_size, std::int64_t transmissions);
-  /// J_ttl(origin), sorted ascending, from the reach memo (computed on a
-  /// miss). Valid until the next call.
+  /// J_ttl(origin), sorted ascending, from the reach memo (recomputed when
+  /// the entry predates the topology's version). Valid until the topology
+  /// changes. Requires a finalized topology.
   const std::vector<int>& clean_reach(int origin, int ttl);
 
   const Graph& topology_;
   FaultProfile faults_;
   int mtu_ = wire::kDefaultMtu;
   BfsScratch scratch_;
-  std::vector<int> reach_buf_;  ///< BFS output; the reach itself when the
-                                ///< topology is not finalized.
-  /// reach_memo_[ttl][origin] = J_ttl(origin), empty until first flooded;
-  /// valid for topology version memo_version_.
-  std::vector<std::vector<std::vector<int>>> reach_memo_;
-  std::uint64_t memo_version_ = 0;
+  /// J_ttl(origin) as of one topology version (0 = never computed; the
+  /// graph's stamps start at 1).
+  struct MemoReach {
+    std::uint64_t version = 0;
+    std::vector<int> reach;
+  };
+  /// reach_memo_[ttl][origin], sized to the graph on a ttl's first flood.
+  std::vector<std::vector<MemoReach>> reach_memo_;
   std::vector<std::uint32_t> visit_stamp_;
   std::uint32_t visit_epoch_ = 0;
   std::int64_t round_ = 0;

@@ -10,8 +10,8 @@
 // 16 bits holding position + 1 (0 = empty): at most 8 B per member. A probe
 // confirms a hit against the list itself, so the table stores no ids. Lists
 // longer than kMaxIndexed (local ids that do not fit in a slot) get no
-// table, and find() falls back to binary search; a message-level run whose
-// agents keep that many members each would not fit in memory anyway.
+// table, and find() falls back to binary search, O(log m) per lookup; only
+// hub-like balls (a high-fan-out vertex at r >= 2) grow that long.
 #pragma once
 
 #include <algorithm>

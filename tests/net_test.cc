@@ -43,6 +43,7 @@ using net::VertexAgent;
 Graph path_graph(int n) {
   Graph g(n);
   for (int i = 0; i + 1 < n; ++i) g.add_edge(i, i + 1);
+  g.finalize();  // clean-wire floods require it, as over every ECG graph
   return g;
 }
 
@@ -762,7 +763,6 @@ TEST_F(NetFixture, VerdictCountersCountWhatTheAgentsApplied) {
 
 TEST(ControlChannel, ReachMemoFollowsTopologyDeltas) {
   Graph g = path_graph(10);
-  g.finalize();
   ControlChannel ch(g);
   Message m;
   m.type = MsgType::kWeightUpdate;
@@ -796,12 +796,23 @@ TEST(ControlChannel, ReachMemoFollowsTopologyDeltas) {
   g.apply_delta({}, std::span(&cut, 1));
   EXPECT_EQ(flood_and_collect(2), fresh_reach(2));
   EXPECT_EQ(ch.stats().reach_computed, 4);
-  EXPECT_EQ(ch.stats().floods, 6);
+  // The ttl-3 entry was computed two topologies ago: stale, so a miss.
+  EXPECT_EQ(flood_and_collect(3), fresh_reach(3));
+  EXPECT_EQ(ch.stats().reach_computed, 5);
+  EXPECT_EQ(ch.stats().floods, 7);
+}
+
+TEST(ControlChannel, CleanFloodRequiresFinalizedTopology) {
+  Graph g = path_graph(4);
+  g.add_edge(0, 3);  // back in the build phase: no topology version
+  ControlChannel ch(g);
+  Message m;
+  m.origin = 1;
+  EXPECT_THROW(ch.flood(m, 1, [](int, const Message&) {}), std::logic_error);
 }
 
 TEST(ControlChannel, FaultyFloodsNeverUseTheReachMemo) {
   Graph g = path_graph(10);
-  g.finalize();
   net::FaultProfile lossy;
   lossy.drop_prob = 0.2;
   ControlChannel ch(g, lossy);
